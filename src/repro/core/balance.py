@@ -123,6 +123,12 @@ def work_split_bounds(weights: np.ndarray, nparts: int) -> np.ndarray:
     total = float(cumw[-1])
     if total <= 0.0:
         return count_split_bounds(n, nparts)
+    if total < np.finfo(np.float64).tiny:
+        # subnormal: ``total / nparts`` would round to whole subnormal steps
+        # and break the bound; these sums are exact, so an exact power-of-two
+        # rescale moves the split into the normal range
+        cumw = np.ldexp(cumw, 1074)
+        total = float(cumw[-1])
     bounds = np.empty(nparts + 1, dtype=np.int64)
     bounds[0] = 0
     bounds[nparts] = n

@@ -8,9 +8,14 @@ function* specifies the target process(es) for each local particle; the
 generalized version used by the P2NFFT solver supports duplication by
 returning multiple (element, target) pairs per particle.
 
-Data plane: per-rank :class:`~repro.core.particles.ColumnBlock` s in, grouped
-per-target sub-blocks over :func:`~repro.simmpi.collectives.alltoallv` (or
-the neighborhood variant), concatenated source-ordered blocks out.
+Data plane: one flat exchange per call.  All ranks' ``(element, target)``
+pairs are stably sorted by target in one pass, one gather per column fills
+a single buffer in ``(dst, src, pair)`` order, and the run boundaries of
+that order form the message table (``src``, ``dst``, row ``count``).  The
+buffer and table travel as one :class:`~repro.simmpi.collectives.FlatSends`
+through :func:`~repro.simmpi.collectives.alltoallv`; each rank's result is a
+row slice of the received buffer — a view, read-only under the delivery
+aliasing contract of ``docs/backends.md``.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.particles import ColumnBlock
-from repro.simmpi.collectives import alltoallv, neighborhood_alltoallv
+from repro.simmpi.collectives import FlatSends, alltoallv, neighborhood_alltoallv
 from repro.simmpi.machine import Machine
 
-__all__ = ["fine_grained_redistribute", "targets_only", "DistResult"]
+__all__ = ["fine_grained_redistribute", "DistResult"]
 
 #: A distribution function returns either a plain per-element target-rank
 #: array of shape ``(n,)`` (no duplication), or a pair
@@ -31,11 +36,6 @@ __all__ = ["fine_grained_redistribute", "targets_only", "DistResult"]
 #: element indices create duplicates (ghost particles).
 DistResult = Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]
 DistFn = Callable[[int, ColumnBlock], DistResult]
-
-
-def targets_only(fn: Callable[[int, ColumnBlock], np.ndarray]) -> DistFn:
-    """Wrap a plain target-rank function as a distribution function."""
-    return fn
 
 
 def _normalize(block: ColumnBlock, result: DistResult) -> Tuple[np.ndarray, np.ndarray]:
@@ -91,46 +91,64 @@ def fine_grained_redistribute(
     rank order (stable within each source, preserving the sender's element
     order — the ordering contract the resort indices rely on).
     """
-    if len(blocks) != machine.nprocs:
-        raise ValueError(f"{len(blocks)} blocks for {machine.nprocs} ranks")
+    P = machine.nprocs
+    if len(blocks) != P:
+        raise ValueError(f"{len(blocks)} blocks for {P} ranks")
     if comm not in ("alltoall", "neighborhood"):
         raise ValueError(f"comm must be 'alltoall' or 'neighborhood', got {comm!r}")
+    names = blocks[0].names()
+    if any(b.names() != names for b in blocks):
+        raise ValueError(f"column mismatch between ranks: {names}")
+    # ranks without rows send nothing, so their column dtypes never travel
+    sources = [b for b in blocks if b.n] or [blocks[0]]
+    if len({tuple((b[k].dtype, b[k].shape[1:]) for k in names) for b in sources}) > 1:
+        raise ValueError("column dtypes or shapes differ between ranks")
 
-    sends: List[dict] = []
-    send_blocks: List[dict] = []  # parallel structure holding ColumnBlocks
+    # per-rank (element, target) pairs in rank order, validated as they come
+    # so a bad rank raises before anything is charged
+    elems: List[np.ndarray] = []
+    targets: List[np.ndarray] = []
+    narrow = np.min_scalar_type(P - 1)  # narrowest unsigned rank dtype
+    first_row = 0
     for rank, block in enumerate(blocks):
-        elem_idx, targets = _normalize(block, dist_fn(rank, block))
-        per_target: dict = {}
-        blocks_out: dict = {}
-        if targets.size:
-            if targets.min() < 0 or targets.max() >= machine.nprocs:
-                raise ValueError(f"rank {rank}: target ranks out of range")
-            order = np.argsort(targets, kind="stable")
-            sorted_targets = targets[order]
-            # one gather for the whole rank, then zero-copy views per target
-            gathered = block.take(elem_idx[order])
-            bounds = np.flatnonzero(np.diff(sorted_targets)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [sorted_targets.size]))
-            for s, e in zip(starts, ends):
-                dst = int(sorted_targets[s])
-                sub = gathered.row_slice(int(s), int(e))
-                blocks_out[dst] = sub
-                per_target[dst] = sub.payload()
-        sends.append(per_target)
-        send_blocks.append(blocks_out)
+        elem_idx, tgt = _normalize(block, dist_fn(rank, block))
+        if tgt.size and (tgt.min() < 0 or tgt.max() >= P):
+            raise ValueError(f"rank {rank}: target ranks out of range")
+        elems.append(elem_idx + first_row)
+        targets.append(tgt.astype(narrow))
+        first_row += block.n
+    src = np.repeat(np.arange(P, dtype=narrow), [t.size for t in targets])
+    dst = np.concatenate(targets)
+    del targets
+    # one stable sort of the source-major pairs by target: (dst, src, pair);
+    # NumPy's stable sort is a radix sort for ranks that fit 16 bits.  Each
+    # per-pair temporary is deleted once consumed: they bound peak memory
+    order = np.argsort(dst, kind="stable")
+    rows = np.concatenate(elems)[order]
+    del elems
+    dst = dst[order]
+    src = src[order]
+    del order
+
+    # one gather per column into the receive-ordered buffer
+    columns = tuple(
+        np.concatenate([b[name] for b in sources]).take(rows, axis=0) for name in names
+    )
+    del rows
+
+    # message table: one message per (dst, src) run of the sorted pairs
+    run_start = np.concatenate(([dst.size > 0], (dst[1:] != dst[:-1]) | (src[1:] != src[:-1])))
+    starts = np.flatnonzero(run_start)
+    counts = np.diff(np.append(starts, dst.size))
+    sends = FlatSends(columns, src[starts].astype(np.int64), dst[starts].astype(np.int64), counts)
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(dst, minlength=P)))).tolist()
+    del src, dst, columns
 
     if comm == "alltoall":
         recv = alltoallv(machine, sends, phase)
     else:
         recv = neighborhood_alltoallv(machine, sends, phase)
-
-    out: List[ColumnBlock] = []
-    template = blocks[0]
-    for dst in range(machine.nprocs):
-        received = [send_blocks[src][dst] for src, _payload in recv[dst]]
-        if received:
-            out.append(ColumnBlock.concat(received))
-        else:
-            out.append(ColumnBlock.empty_like(template, 0))
-    return out
+    buffer = ColumnBlock()
+    for name, column in zip(names, recv.columns):
+        buffer[name] = column
+    return [buffer.row_slice(bounds[r], bounds[r + 1]) for r in range(P)]

@@ -38,7 +38,6 @@ __all__ = [
     "initial_numbering",
     "inverse_permutation",
     "invert_indices",
-    "apply_resort",
 ]
 
 #: number of low bits storing the target position (upper bits: target rank)
@@ -170,56 +169,3 @@ def invert_indices(
     machine.copy(8.0 * np.asarray([int(c) for c in orig_counts], dtype=np.float64), phase)
     return out
 
-
-def apply_resort(
-    machine: Machine,
-    resort_indices: Sequence[np.ndarray],
-    data: Sequence[ColumnBlock],
-    new_counts: Sequence[int],
-    phase: Optional[str] = None,
-    *,
-    comm: str = "alltoall",
-) -> List[ColumnBlock]:
-    """Redistribute additional particle data according to resort indices.
-
-    This is the one-shot engine behind the legacy resort path: each original
-    particle's extra columns are sent to the target process from its resort
-    index and stored at the target position ("the fine-grained data
-    redistribution operation followed by a permutation according to the
-    target positions contained in the resort indices", Sect. III-B).  The
-    schedule (grouping, counts, target permutation) is recomputed — and an
-    8-byte index column shipped — on *every* call; repeated resorts with the
-    same indices should compile a :class:`~repro.core.plan.ResortPlan`
-    instead and reuse it.
-    """
-    if not (len(resort_indices) == len(data) == len(new_counts) == machine.nprocs):
-        raise ValueError("per-rank sequences must have one entry per rank")
-    blocks: List[ColumnBlock] = []
-    for r, (idx, block) in enumerate(zip(resort_indices, data)):
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.shape != (block.n,):
-            raise ValueError(
-                f"rank {r}: {idx.shape[0]} resort indices for {block.n} data rows"
-            )
-        b = block.copy()
-        b["_resort"] = idx
-        blocks.append(b)
-
-    def to_target(rank: int, block: ColumnBlock) -> np.ndarray:
-        ranks, _ = unpack_resort_index(block["_resort"])
-        return ranks
-
-    received = fine_grained_redistribute(machine, blocks, to_target, phase, comm=comm)
-
-    out: List[ColumnBlock] = []
-    per_rank_bytes = np.zeros(machine.nprocs, dtype=np.float64)
-    for r, block in enumerate(received):
-        n = int(new_counts[r])
-        if block.n != n:
-            raise ValueError(f"rank {r}: received {block.n} rows, expected {n}")
-        _, pos = unpack_resort_index(block["_resort"])
-        result = block.drop("_resort").take(inverse_permutation(pos, n, r))
-        out.append(result)
-        per_rank_bytes[r] = result.nbytes
-    machine.copy(per_rank_bytes, phase)
-    return out

@@ -369,10 +369,6 @@ def _charge_count_exchange(
             machine.nprocs, 8.0, machine.topology.diameter()
         )
         machine.advance(t * machine.comm_factor(), phase, messages=0, nbytes=0, op=op)
-    elif count_exchange not in ("sparse", "cached"):
-        raise ValueError(
-            f"count_exchange must be 'dense', 'sparse' or 'cached', got {count_exchange!r}"
-        )
 
 
 def _finish_alltoallv(

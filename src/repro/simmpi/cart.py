@@ -115,23 +115,30 @@ class CartGrid:
 
     # -- geometry ------------------------------------------------------------
 
+    def _cells_along(self, x: np.ndarray, k: int) -> np.ndarray:
+        """Grid cell index along axis ``k`` of coordinates ``x``."""
+        cells = np.floor((x - self.offset[k]) / self.cell[k]).astype(np.int64)
+        if self.periodic:
+            cells %= self.dims[k]
+        else:
+            np.clip(cells, 0, self.dims[k] - 1, out=cells)
+        return cells
+
     def cell_of_positions(self, pos: np.ndarray) -> np.ndarray:
         """Grid cell coordinates containing each position, shape ``(n, 3)``."""
         pos = np.asarray(pos, dtype=np.float64)
-        rel = (pos - self.offset) / self.cell
-        cells = np.floor(rel).astype(np.int64)
-        dims = np.asarray(self.dims, dtype=np.int64)
-        if self.periodic:
-            cells %= dims
-        else:
-            np.clip(cells, 0, dims - 1, out=cells)
-        return cells
+        return np.stack([self._cells_along(pos[..., k], k) for k in range(3)], axis=-1)
 
     def rank_of_positions(self, pos: np.ndarray) -> np.ndarray:
         """Target rank for each particle position (the P2NFFT distribution
         function: "the target process for each particle is calculated from
-        its position")."""
-        return self.rank_of(self.cell_of_positions(pos))
+        its position").  Works one axis at a time, so its temporaries are
+        a third of the size of the position array."""
+        pos = np.asarray(pos, dtype=np.float64)
+        rank = self._cells_along(pos[..., 0], 0) * self._strides[0]
+        for k in (1, 2):
+            rank += self._cells_along(pos[..., k], k) * self._strides[k]
+        return rank
 
     def subdomain_bounds(self, rank: int) -> Tuple[np.ndarray, np.ndarray]:
         """``(lo, hi)`` corners of a rank's subdomain."""

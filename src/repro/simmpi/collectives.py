@@ -49,13 +49,16 @@ received payload as read-only and copy before writing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.backend.inprocess import deliver_inprocess
 from repro.simmpi.machine import Machine
 
 __all__ = [
+    "FlatSends",
+    "message_table",
     "payload_nbytes",
     "alltoallv",
     "neighborhood_alltoallv",
@@ -111,38 +114,48 @@ def _algo_for(machine: Machine, collective: str) -> Optional[str]:
     return None if algo == "direct" else algo
 
 
+def message_table(sends: Sequence[Dict[int, Payload]]) -> np.ndarray:
+    """The ``(srcs, dsts, sizes)`` int64 rows of a dict send table, one
+    column per message (self-sends included), in source-major order."""
+    table = [
+        (src, dst, payload_nbytes(payload))
+        for src, targets in enumerate(sends)
+        for dst, payload in targets.items()
+    ]
+    return np.array(table, dtype=np.int64).reshape(-1, 3).T
+
+
 def _charge_alltoall(
     machine: Machine,
-    sends: Sequence[Dict[int, Payload]],
+    srcs: np.ndarray,
+    dsts: np.ndarray,
+    sizes: np.ndarray,
     phase: Optional[str],
     count_exchange: str,
 ) -> None:
-    """Clock/trace accounting shared by the all-to-all variants."""
+    """Audit and charge one all-to-all exchange, whichever send table form
+    carried it.
+
+    ``(srcs, dsts, sizes)`` lists one entry per message; self-sends are
+    local moves and cost nothing here.
+    """
+    if machine.auditor is not None:
+        machine.auditor.observe_exchange(srcs, dsts, sizes, phase, count_exchange)
     P = machine.nprocs
     model = machine.model
     topo = machine.topology
 
-    # collect all (src, dst, size) message triples, then vectorize the
-    # accounting (topology hop lookups batched into one call)
-    src_list = []
-    dst_list = []
-    size_list = []
-    for src, targets in enumerate(sends):
-        for dst, payload in targets.items():
-            if dst != src:
-                src_list.append(src)
-                dst_list.append(dst)
-                size_list.append(payload_nbytes(payload))
-    n_messages = len(src_list)
-    srcs = np.asarray(src_list, dtype=np.int64)
-    dsts = np.asarray(dst_list, dtype=np.int64)
-    sizes = np.asarray(size_list, dtype=np.float64)
+    remote = srcs != dsts
+    srcs = srcs[remote]
+    dsts = dsts[remote]
+    sizes = sizes[remote].astype(np.float64)
+    n_messages = int(srcs.shape[0])
 
     n_targets = np.bincount(srcs, minlength=P).astype(np.int64)
     send_bytes = np.bincount(srcs, weights=sizes, minlength=P)
     recv_bytes = np.bincount(dsts, weights=sizes, minlength=P)
     if n_messages:
-        hops = machine.topology.hops(srcs, dsts)
+        hops = topo.hops(srcs, dsts)
         inter = hops > 0
         total_internode = float(sizes[inter].sum())
         hop_weight = float(sizes.sum())
@@ -162,10 +175,6 @@ def _charge_alltoall(
         # MPI_Alltoall of one count integer (8 bytes) per peer, modeled as
         # Bruck's algorithm (what MPI implementations use for tiny items)
         per_rank = per_rank + model.bruck_alltoall_time(P, 8.0, topo.diameter())
-    elif count_exchange not in ("sparse", "cached"):
-        raise ValueError(
-            f"count_exchange must be 'dense', 'sparse' or 'cached', got {count_exchange!r}"
-        )
     bis = model.bisection_time(total_internode, topo.bisection_links())
     per_rank = np.maximum(per_rank, bis)
     if machine.comm_factors is not None:
@@ -186,46 +195,85 @@ def _deliver(
     """Move payloads: ``recv[j]`` is a source-ordered list of ``(src, payload)``.
 
     With an attached execution backend the payload bytes travel through it
-    (e.g. shared memory + worker processes); without one, the historical
-    in-process list shuffle runs inline.  Charging happened before this
-    point either way — delivery is pure data plane.
-
-    Aliasing contract (see the module docstring): in-process delivery hands
-    the receiver a *reference* to the sender's payload object; a process
-    backend decodes fresh copies for inter-rank messages and returns the
-    original object for self-sends.  Receivers must treat payloads as
-    read-only.  Destination validation happened in :func:`_validate_sends`
-    before any auditing or charging; the check here is defensive only (it
-    guards direct callers of the backend protocol).
+    (e.g. shared memory + worker processes); without one, the in-process
+    list shuffle runs inline.  Charging happened before this point either
+    way — delivery is pure data plane.  Aliasing contract: see the module
+    docstring; receivers must treat payloads as read-only.
     """
-    nprocs = machine.nprocs
-    backend = machine.backend
-    if backend is not None:
-        return backend.deliver(sends, nprocs)
-    recv: List[List[Tuple[int, Payload]]] = [[] for _ in range(nprocs)]
-    for src, targets in enumerate(sends):
-        for dst, payload in targets.items():
-            if not 0 <= dst < nprocs:
-                raise ValueError(f"rank {src} sends to invalid rank {dst}")
-            recv[dst].append((src, payload))
-    for lst in recv:
-        lst.sort(key=lambda item: item[0])
-    return recv
+    if machine.backend is not None:
+        return machine.backend.deliver(sends, machine.nprocs)
+    return deliver_inprocess(sends, machine.nprocs)
+
+
+class FlatSends(NamedTuple):
+    """An all-to-all send table as one row buffer plus a message table.
+
+    ``columns`` hold every message's rows back to back, messages in
+    ascending ``(dst, src)`` order; message ``i`` moves ``counts[i]`` rows
+    (``counts[i]`` times the row size in bytes) from rank ``srcs[i]`` to
+    rank ``dsts[i]``.  The rows already sit in receive order, so the send
+    buffer *is* the receive buffer: rank ``j`` receives the contiguous rows
+    of the messages with ``dsts == j``, grouped by source.  The message
+    table arrays are int64.
+    """
+
+    columns: Tuple[np.ndarray, ...]
+    srcs: np.ndarray
+    dsts: np.ndarray
+    counts: np.ndarray
+
+    def sizes(self) -> np.ndarray:
+        """Bytes per message."""
+        row_bytes = sum(c.itemsize * int(np.prod(c.shape[1:])) for c in self.columns)
+        return self.counts * row_bytes
+
+    def validate(self, nprocs: int) -> None:
+        """Reject a malformed table before any auditing or charging."""
+        srcs, dsts, counts = self.srcs, self.dsts, self.counts
+        bad = np.flatnonzero((srcs < 0) | (srcs >= nprocs) | (dsts < 0) | (dsts >= nprocs))
+        if bad.size:
+            raise ValueError(f"rank {srcs[bad[0]]} sends to invalid rank {dsts[bad[0]]}")
+        key = dsts * nprocs + srcs
+        if (
+            np.any(key[1:] <= key[:-1])
+            or np.any(counts < 0)
+            or any(c.shape[0] != counts.sum() for c in self.columns)
+        ):
+            raise ValueError("messages must ascend in (dst, src) and cover the buffer rows")
+
+    def delivered(self, recv: List[List[Tuple[int, Payload]]]) -> "FlatSends":
+        """This table over the buffer rebuilt from the dict-form ``recv``
+        of the same exchange (already in ``(dst, src)`` order)."""
+        payloads = [payload for lst in recv for _src, payload in lst]
+        if not payloads:
+            return self
+        return self._replace(columns=tuple(
+            np.concatenate([p[c] for p in payloads]) for c in range(len(self.columns))
+        ))
+
+    def as_dict(self, nprocs: int) -> List[Dict[int, Payload]]:
+        """The dict send table over zero-copy row slices of the buffer."""
+        sends: List[Dict[int, Payload]] = [{} for _ in range(nprocs)]
+        ends = np.cumsum(self.counts).tolist()
+        for src, dst, start, end in zip(self.srcs.tolist(), self.dsts.tolist(), [0] + ends, ends):
+            sends[src][dst] = tuple(c[start:end] for c in self.columns)
+        return sends
 
 
 def alltoallv(
     machine: Machine,
-    sends: Sequence[Dict[int, Payload]],
+    sends: Sequence[Dict[int, Payload]] | FlatSends,
     phase: Optional[str] = None,
     *,
     count_exchange: str = "dense",
-) -> List[List[Tuple[int, Payload]]]:
+) -> List[List[Tuple[int, Payload]]] | FlatSends:
     """Sparse all-to-all exchange (the fine-grained redistribution transport).
 
     Parameters
     ----------
     sends:
-        ``sends[i][j]`` is the payload rank ``i`` sends to rank ``j``.
+        ``sends[i][j]`` is the payload rank ``i`` sends to rank ``j``, or a
+        :class:`FlatSends` holding the same table as one buffer.
         Self-sends are delivered for free (local move, charged as a copy).
     count_exchange:
         ``"dense"`` (default) charges the ``MPI_Alltoall`` count exchange
@@ -238,12 +286,31 @@ def alltoallv(
 
     Returns
     -------
-    ``recv`` with ``recv[j]`` a list of ``(source_rank, payload)`` sorted by
-    source rank, matching MPI's per-source receive-block semantics.
+    For a dict table, ``recv`` with ``recv[j]`` a list of ``(source_rank,
+    payload)`` sorted by source rank, matching MPI's per-source
+    receive-block semantics.  For a :class:`FlatSends`, the received
+    :class:`FlatSends`: the same message table over the delivered buffer
+    (the send buffer itself under in-process delivery).  Both forms charge
+    and audit the same ``(srcs, dsts, sizes)`` message arrays.
     """
-    if len(sends) != machine.nprocs:
-        raise ValueError(f"sends has {len(sends)} entries, machine has {machine.nprocs} ranks")
-    _validate_sends(machine.nprocs, sends)
+    P = machine.nprocs
+    if count_exchange not in ("dense", "sparse", "cached"):
+        raise ValueError(
+            f"count_exchange must be 'dense', 'sparse' or 'cached', got {count_exchange!r}"
+        )
+    flat = sends if isinstance(sends, FlatSends) else None
+    if flat is not None:
+        flat.validate(P)
+        if machine.backend is None and _algo_for(machine, "alltoallv") is None:
+            _charge_alltoall(machine, flat.srcs, flat.dsts, flat.sizes(), phase, count_exchange)
+            return flat
+        # staged engines and execution backends move dict tables: they get
+        # a zero-copy dict view of the flat table
+        sends = flat.as_dict(P)
+    if len(sends) != P:
+        raise ValueError(f"sends has {len(sends)} entries, machine has {P} ranks")
+    _validate_sends(P, sends)
+    recv = None
     algo = _algo_for(machine, "alltoallv")
     if algo is not None:
         from repro.simmpi import algos as _algos
@@ -251,20 +318,20 @@ def alltoallv(
         resolved = _algos.resolve(machine, "alltoallv", algo, sends=sends)
         _algos.record_choice(machine, "alltoallv", resolved)
         if resolved != "direct":
-            return _algos.alltoallv_staged(
+            recv = _algos.alltoallv_staged(
                 machine, sends, phase, count_exchange=count_exchange, algo=resolved
             )
-    if machine.auditor is not None:
-        machine.auditor.observe_alltoallv(sends, phase, count_exchange)
-    _charge_alltoall(machine, sends, phase, count_exchange)
-    return _deliver(machine, sends)
+    if recv is None:
+        _charge_alltoall(machine, *message_table(sends), phase, count_exchange)
+        recv = _deliver(machine, sends)
+    return recv if flat is None else flat.delivered(recv)
 
 
 def neighborhood_alltoallv(
     machine: Machine,
-    sends: Sequence[Dict[int, Payload]],
+    sends: Sequence[Dict[int, Payload]] | FlatSends,
     phase: Optional[str] = None,
-) -> List[List[Tuple[int, Payload]]]:
+) -> List[List[Tuple[int, Payload]]] | FlatSends:
     """Neighborhood exchange: all-to-all restricted to known peers.
 
     Identical data plane to :func:`alltoallv` but modeled as pre-posted

@@ -30,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["PhaseStats", "PhaseTable", "PhaseTimer", "Trace"]
+__all__ = ["PhaseStats", "PhaseTable", "Trace"]
 
 
 @dataclasses.dataclass
@@ -351,25 +351,3 @@ class Trace:
         )
         return f"Trace({rows})"
 
-
-class PhaseTimer:
-    """Context manager measuring the virtual-clock critical path of a block.
-
-    Example
-    -------
-    >>> with PhaseTimer(machine) as t:
-    ...     alltoallv(machine, payload, phase="sort")
-    >>> t.elapsed  # max-over-ranks clock advance of the block
-    """
-
-    def __init__(self, machine) -> None:
-        self._machine = machine
-        self.start: float = 0.0
-        self.elapsed: float = 0.0
-
-    def __enter__(self) -> "PhaseTimer":
-        self.start = self._machine.elapsed()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.elapsed = self._machine.elapsed() - self.start

@@ -25,7 +25,6 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.core.fine_grained import fine_grained_redistribute
 from repro.core.movement import p2nfft_prefers_neighborhood
 from repro.core.particles import ColumnBlock, ParticleSet
 from repro.core.resort import initial_numbering, invert_indices
@@ -35,7 +34,7 @@ from repro.simmpi.collectives import allreduce
 from repro.simmpi.machine import Machine
 from repro.solvers.base import RunReport, Solver
 from repro.solvers.p2nfft.linked_cell import LinkedCellNearField
-from repro.solvers.p2nfft.solver import ghost_distribution
+from repro.solvers.p2nfft.solver import redistribute_with_ghosts
 from repro.solvers.p2nfft.tuning import suggest_cutoff
 
 __all__ = ["EwaldSolver"]
@@ -152,30 +151,7 @@ class EwaldSolver(Solver):
             cost[r] = kernels.KEY_GENERATION * old_counts[r]
         machine.compute(cost, phase="keygen")
 
-        all_pos = np.concatenate([b["pos"] for b in blocks])
-        offsets = np.concatenate(([0], np.cumsum(old_counts)))
-        g_elems, g_targets = ghost_distribution(self.grid, all_pos, self.rc)
-        order = np.argsort(g_elems, kind="stable")
-        g_elems, g_targets = g_elems[order], g_targets[order]
-        split_at = np.searchsorted(g_elems, offsets)
-        pairs = [
-            (g_elems[split_at[r]:split_at[r + 1]] - offsets[r], g_targets[split_at[r]:split_at[r + 1]])
-            for r in range(P)
-        ]
-        received = fine_grained_redistribute(
-            machine, blocks, lambda r, b: pairs[r], phase="sort", comm=comm
-        )
-
-        owned: List[ColumnBlock] = []
-        local_all: List[ColumnBlock] = []
-        for r in range(P):
-            block = received[r]
-            if block.n:
-                own_mask = self.grid.rank_of_positions(block["pos"]) == r
-                owned.append(block.take(np.flatnonzero(own_mask)))
-            else:
-                owned.append(ColumnBlock.empty_like(block, 0))
-            local_all.append(block)
+        owned, local_all = redistribute_with_ghosts(machine, self.grid, blocks, self.rc, comm)
         new_counts = np.asarray([b.n for b in owned], dtype=np.int64)
 
         # --- real space ---------------------------------------------------------

@@ -45,6 +45,7 @@ from repro.simmpi.machine import Machine
 from repro.solvers.base import RunReport, Solver
 from repro.solvers.fmm.tree import FMMTree
 from repro.solvers.fmm.tuning import choose_depth, choose_order, plan_parameters
+from repro.sorting import sorted_unique
 from repro.sorting.merge_sort import merge_exchange_sort
 from repro.sorting.partition_sort import partition_sort
 
@@ -498,7 +499,7 @@ class FMMSolver(Solver):
             linear = self.tree.linear_of_morton(gkeys)
             pot_far, field_far, stats = self.tree.far_field(gpos, gq, linear)
             self._charge_far_field(
-                stats, new_counts.astype(np.float64), int(np.unique(linear).shape[0])
+                stats, new_counts.astype(np.float64), int(sorted_unique(linear).shape[0])
             )
             offsets = np.concatenate(([0], np.cumsum(new_counts)))
             for r in range(P):

@@ -46,8 +46,11 @@ from repro.solvers.p2nfft.tuning import (
     suggest_cutoff,
     tune_ewald_splitting,
 )
+from repro.sorting import sorted_unique
 
-__all__ = ["P2NFFTSolver", "ghost_distribution", "charge_parallel_fft"]
+__all__ = [
+    "P2NFFTSolver", "ghost_distribution", "redistribute_with_ghosts", "charge_parallel_fft"
+]
 
 
 def _near_rank_task(near, tpos, spos, sq):
@@ -105,12 +108,49 @@ def ghost_distribution(
         keep = nbr != owner[within]
         elems.append(np.flatnonzero(within)[keep])
         targets.append(nbr[keep])
-    e = np.concatenate(elems)
-    t = np.concatenate(targets)
-    # dedup on a packed 1-D key (much cheaper than a 2-column unique)
-    packed = e * np.int64(grid.nprocs) + t
-    packed = np.unique(packed)
-    return packed // np.int64(grid.nprocs), packed % np.int64(grid.nprocs)
+    # dedup on a packed 1-D key, sorted by (element, target)
+    packed = np.concatenate(elems) * np.int64(grid.nprocs) + np.concatenate(targets)
+    return np.divmod(sorted_unique(packed), np.int64(grid.nprocs))
+
+
+def redistribute_with_ghosts(
+    machine: Machine,
+    grid: CartGrid,
+    blocks: List[ColumnBlock],
+    rc: float,
+    comm: str,
+) -> Tuple[List[ColumnBlock], List[ColumnBlock]]:
+    """The sort phase: send every particle to its owner plus ghost copies.
+
+    One vectorised :func:`ghost_distribution` over all ranks (the per-rank
+    distribution function just slices its pairs), one fine-grained
+    redistribution, and one :meth:`CartGrid.rank_of_positions` over all
+    received rows.  Returns per rank the owned rows and owned + ghost rows.
+    """
+    P = machine.nprocs
+    rank_offsets = np.concatenate(([0], np.cumsum([b.n for b in blocks])))
+    g_elems, g_targets = ghost_distribution(
+        grid, np.concatenate([b["pos"] for b in blocks]), rc
+    )
+    split_at = np.searchsorted(g_elems, rank_offsets).tolist()
+    per_rank_pairs = [
+        (g_elems[a:b] - rank_offsets[r], g_targets[a:b])
+        for r, (a, b) in enumerate(zip(split_at[:-1], split_at[1:]))
+    ]
+    del g_elems, g_targets
+    received = fine_grained_redistribute(
+        machine, blocks, lambda r, b: per_rank_pairs[r], phase="sort", comm=comm
+    )
+    del per_rank_pairs
+
+    recv_counts = [b.n for b in received]
+    home = np.repeat(np.arange(P, dtype=np.min_scalar_type(P - 1)), recv_counts)
+    own = grid.rank_of_positions(np.concatenate([b["pos"] for b in received])) == home
+    bounds = np.concatenate(([0], np.cumsum(recv_counts))).tolist()
+    owned = [
+        received[r].take(np.flatnonzero(own[bounds[r]:bounds[r + 1]])) for r in range(P)
+    ]
+    return owned, received
 
 
 def charge_parallel_fft(machine: Machine, M: int, n_transforms: int, phase: str) -> None:
@@ -274,42 +314,7 @@ class P2NFFTSolver(Solver):
             cost[r] = kernels.KEY_GENERATION * old_counts[r]
         machine.compute(cost, phase="keygen")
 
-        # compute the distribution (owners + ghost duplicates) for all ranks
-        # in one vectorised pass; the per-rank distribution function then
-        # just slices the precomputed pairs (semantically identical, far
-        # cheaper at high process counts)
-        all_pos = np.concatenate([b["pos"] for b in blocks])
-        rank_offsets = np.concatenate(([0], np.cumsum(old_counts)))
-        g_elems, g_targets = ghost_distribution(self.grid, all_pos, self.rc)
-        order = np.argsort(g_elems, kind="stable")
-        g_elems = g_elems[order]
-        g_targets = g_targets[order]
-        split_at = np.searchsorted(g_elems, rank_offsets)
-        per_rank_pairs = [
-            (
-                g_elems[split_at[r]:split_at[r + 1]] - rank_offsets[r],
-                g_targets[split_at[r]:split_at[r + 1]],
-            )
-            for r in range(P)
-        ]
-
-        def dist(rank: int, block: ColumnBlock):
-            return per_rank_pairs[rank]
-
-        received = fine_grained_redistribute(machine, blocks, dist, phase="sort", comm=comm)
-
-        # --- split owned / ghost -----------------------------------------------
-        owned: List[ColumnBlock] = []
-        local_all: List[ColumnBlock] = []
-        for r in range(P):
-            block = received[r]
-            if block.n:
-                owner = self.grid.rank_of_positions(block["pos"])
-                own_mask = owner == r
-                owned.append(block.take(np.flatnonzero(own_mask)))
-            else:
-                owned.append(ColumnBlock.empty_like(block, 0))
-            local_all.append(block)
+        owned, local_all = redistribute_with_ghosts(machine, self.grid, blocks, self.rc, comm)
         new_counts = np.asarray([b.n for b in owned], dtype=np.int64)
 
         # --- real-space near field (phase: near) -------------------------------

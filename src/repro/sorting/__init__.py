@@ -17,8 +17,20 @@ sorting.  Two methods from the paper are implemented:
   bytes.
 """
 
+import numpy as np
+
 from repro.sorting.batcher import merge_exchange_rounds
 from repro.sorting.merge_sort import merge_exchange_sort
 from repro.sorting.partition_sort import partition_sort
 
-__all__ = ["merge_exchange_rounds", "merge_exchange_sort", "partition_sort"]
+__all__ = ["merge_exchange_rounds", "merge_exchange_sort", "partition_sort", "sorted_unique"]
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending (``np.unique``'s
+    result) by sort-and-mask; NumPy 2's ``np.unique`` takes a far slower
+    hash path on large integer arrays."""
+    values = np.sort(values)
+    keep = np.ones(values.shape, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]

@@ -14,7 +14,7 @@ executable checks:
   (the executable form of the paper's Figures 7-8).
 * :mod:`repro.verify.audit` — a communication auditor wired into
   :mod:`repro.simmpi.collectives` and :mod:`repro.simmpi.p2p` that
-  validates alltoallv count symmetry, flags unmatched point-to-point sends
+  validates alltoallv message tables, flags unmatched point-to-point sends
   (virtual-deadlock detection) and verifies neighborhood exchanges only
   touch declared Cartesian neighbors.
 * :mod:`repro.verify.dst` — deterministic simulation testing: the full MD

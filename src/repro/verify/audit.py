@@ -6,11 +6,12 @@ When a :class:`CommAuditor` is attached to a
 :mod:`repro.simmpi.collectives` and :mod:`repro.simmpi.p2p` report every
 exchange to it.  The auditor then
 
-* validates the **alltoallv count table**: the implicit receive counts must
-  be the exact transpose of the send counts (``recv[j][i] == send[i][j]``),
-  targets must be valid ranks, and payload byte sizes must be consistent —
-  the checks a real ``MPI_Alltoallv`` cannot do for you and whose violation
-  silently corrupts a redistribution;
+* validates the **alltoallv message table** — the ``(srcs, dsts, sizes)``
+  arrays the exchange is charged from: targets must be valid ranks.  The
+  receive side of a simulated exchange is the transpose of the same table
+  by construction; :func:`check_count_symmetry` validates explicit
+  send/receive count table pairs (``recv[j][i] == send[i][j]``), the check
+  a real ``MPI_Alltoallv`` cannot do for you;
 * verifies **neighborhood exchanges** only touch declared Cartesian
   neighbors (the caller-guarantees contract of the sparse count-exchange
   path, Sect. III-B of the paper);
@@ -311,56 +312,43 @@ class CommAuditor:
         count_exchange: str,
         record: bool = True,
     ) -> None:
-        """Audit one (neighborhood_)alltoallv call from its raw send table.
+        """Audit one (neighborhood_)alltoallv call from its raw dict send
+        table; see :meth:`observe_exchange`."""
+        from repro.simmpi.collectives import message_table
 
-        ``record=False`` runs every validation (rank range, count symmetry,
-        neighborhood contract) without touching the ledger — the staged
-        algorithm engines use it, because their ledger traffic is
-        re-accounted per round by :meth:`observe_send_round` instead of
-        from the send table.
+        self.observe_exchange(*message_table(sends), phase, count_exchange, record)
+
+    def observe_exchange(
+        self,
+        srcs: np.ndarray,
+        dsts: np.ndarray,
+        sizes: np.ndarray,
+        phase: Optional[str],
+        count_exchange: str,
+        record: bool = True,
+    ) -> None:
+        """Audit one all-to-all exchange from the ``(srcs, dsts, sizes)``
+        message arrays it is charged from (self-sends included).
+
+        ``record=False`` runs every validation (rank range, neighborhood
+        contract) without touching the ledger — the staged algorithm
+        engines use it, because their ledger traffic is re-accounted per
+        round by :meth:`observe_send_round` instead of from the send table.
         """
-        from repro.simmpi.collectives import payload_nbytes
-
         self.n_alltoall_calls += 1
-        if len(sends) != self.nprocs:
-            self._fail(
-                f"alltoallv send table has {len(sends)} rows for {self.nprocs} ranks"
-            )
-            return
-        send_counts = np.zeros((self.nprocs, self.nprocs), dtype=np.int64)
-        messages = 0
-        nbytes = 0
-        for src, targets in enumerate(sends):
-            for dst, payload in targets.items():
-                if not 0 <= dst < self.nprocs:
-                    self._fail(f"rank {src} sends to invalid rank {dst}")
-                    continue
-                size = payload_nbytes(payload)
-                if size < 0:
-                    self._fail(f"rank {src}->{dst}: negative payload size {size}")
-                send_counts[src, dst] += 1
-                if dst != src:
-                    messages += 1
-                    nbytes += size
-                if (
-                    count_exchange == "sparse"
-                    and self._neighbors is not None
-                    and dst != src
-                    and dst not in self._neighbors[src]
-                ):
+        valid = (srcs >= 0) & (srcs < self.nprocs) & (dsts >= 0) & (dsts < self.nprocs)
+        for i in np.flatnonzero(~valid).tolist():
+            self._fail(f"rank {srcs[i]} sends to invalid rank {dsts[i]}")
+        remote = valid & (srcs != dsts)
+        if count_exchange == "sparse" and self._neighbors is not None:
+            for src, dst in zip(srcs[remote].tolist(), dsts[remote].tolist()):
+                if dst not in self._neighbors[src]:
                     self._fail(
                         f"neighborhood exchange: rank {src} sends to rank {dst}, "
                         f"which is not a declared neighbor"
                     )
-        # the implicit receive side of a sparse send table is its transpose
-        # by construction; validate the invariant explicitly so injected
-        # corruptions (tests, future real-MPI backends) are caught
-        try:
-            check_count_symmetry(send_counts, send_counts.T)
-        except CommAuditError as exc:  # pragma: no cover - defensive
-            self._fail(str(exc))
         if record:
-            self._record(phase, messages, nbytes)
+            self._record(phase, int(np.count_nonzero(remote)), int(sizes[remote].sum()))
 
     def observe_collective(
         self, phase: Optional[str], messages: int, nbytes: int

@@ -154,7 +154,9 @@ class ReadOnlyBackend(InProcessBackend):
         )
 
 
-@pytest.mark.parametrize("solver,method", [("direct", "A"), ("fmm", "B+move")])
+@pytest.mark.parametrize(
+    "solver,method", [("direct", "A"), ("fmm", "B+move"), ("p2nfft", "B+move")]
+)
 @pytest.mark.parametrize(
     "algos", [None, "bruck+binomial-tree+allgatherv=ring", "alltoallv=pairwise"]
 )

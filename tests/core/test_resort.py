@@ -1,15 +1,17 @@
-"""Resort indices: packing, inversion-with-communication, application."""
+"""Resort indices: packing, inversion-with-communication, application.
+
+Resort indices are applied through a compiled
+:class:`~repro.core.plan.ResortPlan` (the engine behind ``FCS.resort``)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.particles import ColumnBlock
+from repro.core.plan import ResortPlan
 from repro.core.resort import (
     POSITION_LIMIT,
     RANK_LIMIT,
-    apply_resort,
     initial_numbering,
     invert_indices,
     pack_resort_index,
@@ -19,6 +21,12 @@ from repro.simmpi.machine import Machine
 from repro.verify.strategies import permutations, rank_position_arrays
 
 u31 = st.integers(min_value=0, max_value=2 ** 31 - 1)
+
+
+def apply_resort(machine, resort, columns, old_counts, new_counts, phase="resort"):
+    """Move per-rank data columns by resort indices with a compiled plan."""
+    plan = ResortPlan(machine, resort, old_counts, new_counts, phase=phase)
+    return plan.execute(columns)
 
 
 @given(u31, u31)
@@ -116,11 +124,9 @@ class TestInvert:
         # applying the resort indices to the original ids must land each
         # id exactly where origloc says it now lives
         ids = [np.arange(100 * r, 100 * r + c, dtype=np.int64) for r, c in enumerate(counts)]
-        out = apply_resort(
-            machine4, resort, [ColumnBlock(ident=i) for i in ids], new_counts, "x"
-        )
+        (out,) = apply_resort(machine4, resort, [ids], counts, new_counts)
         for r in range(4):
-            got = out[r]["ident"]
+            got = out[r]
             r_src, p_src = unpack_resort_index(origloc[r])
             expected = 100 * r_src + p_src
             np.testing.assert_array_equal(got, expected)
@@ -185,42 +191,34 @@ class TestApplyResort:
         resort = invert_indices(machine4, origloc, counts, "x")
         vel = [rng.uniform(size=(c, 3)) for c in counts]
         acc = [rng.uniform(size=(c, 3)) for c in counts]
-        out = apply_resort(
-            machine4,
-            resort,
-            [ColumnBlock(vel=v, acc=a) for v, a in zip(vel, acc)],
-            new_counts,
-            "x",
-        )
+        out_vel, out_acc = apply_resort(machine4, resort, [vel, acc], counts, new_counts)
         # verify against origloc: row i of rank r must hold the data of
         # the original particle origloc[r][i]
         for r in range(4):
             r_src, p_src = unpack_resort_index(origloc[r])
             for i in range(new_counts[r]):
-                np.testing.assert_allclose(out[r]["vel"][i], vel[r_src[i]][p_src[i]])
-                np.testing.assert_allclose(out[r]["acc"][i], acc[r_src[i]][p_src[i]])
+                np.testing.assert_allclose(out_vel[r][i], vel[r_src[i]][p_src[i]])
+                np.testing.assert_allclose(out_acc[r][i], acc[r_src[i]][p_src[i]])
 
     def test_shape_mismatch(self, machine4):
         resort = initial_numbering([2, 2, 2, 2])
-        data = [ColumnBlock(x=np.zeros(3))] * 4
+        data = [np.zeros(3)] * 4
         with pytest.raises(ValueError):
-            apply_resort(machine4, resort, data, [2, 2, 2, 2], "x")
+            apply_resort(machine4, resort, [data], [2, 2, 2, 2], [2, 2, 2, 2])
 
     def test_non_permutation_detected(self, machine4):
         # two particles claiming the same target position
         bad = [pack_resort_index(np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64))]
         bad += [np.empty(0, dtype=np.int64)] * 3
-        data = [ColumnBlock(x=np.zeros(2))] + [ColumnBlock(x=np.zeros(0))] * 3
+        data = [np.zeros(2)] + [np.zeros(0)] * 3
         with pytest.raises(ValueError):
-            apply_resort(machine4, bad, data, [2, 0, 0, 0], "x")
+            apply_resort(machine4, bad, [data], [2, 0, 0, 0], [2, 0, 0, 0])
 
     def test_charges_resort_phase(self, machine4, rng):
         counts = [4, 4, 4, 4]
         origloc, new_counts = scatter_particles(machine4, counts, rng)
         resort = invert_indices(machine4, origloc, counts, "idx")
-        apply_resort(
-            machine4, resort, [ColumnBlock(x=np.zeros(c)) for c in counts], new_counts, "resort"
-        )
+        apply_resort(machine4, resort, [[np.zeros(c) for c in counts]], counts, new_counts)
         assert machine4.trace.get("resort").time > 0
 
 
@@ -255,13 +253,13 @@ class TestEmptyRanks:
             )
             for r in range(4)
         ]
-        data = [ColumnBlock(x=np.arange(2, dtype=np.float64) + 10 * r) for r in range(4)]
-        out = apply_resort(machine4, resort, data, [8, 0, 0, 0], "x")
+        data = [np.arange(2, dtype=np.float64) + 10 * r for r in range(4)]
+        (out,) = apply_resort(machine4, resort, [data], counts, [8, 0, 0, 0])
         np.testing.assert_array_equal(
-            out[0]["x"], [0.0, 1.0, 10.0, 11.0, 20.0, 21.0, 30.0, 31.0]
+            out[0], [0.0, 1.0, 10.0, 11.0, 20.0, 21.0, 30.0, 31.0]
         )
         for r in (1, 2, 3):
-            assert out[r]["x"].shape == (0,)
+            assert out[r].shape == (0,)
 
     def test_simulation_single_distribution_method_b(self):
         """End-to-end: method B with every particle on one rank — the

@@ -129,6 +129,39 @@ class TestGhostDistribution:
                 assert j in local[owners[i]], (i, j)
 
 
+    @pytest.mark.parametrize("nprocs,rc", [(8, 6.0), (2, 4.0), (12, 3.5)])
+    def test_wraparound_dedup_matches_np_unique(self, rng, monkeypatch, nprocs, rc):
+        """On a periodic grid with ``dims < 2 * ring + 1`` wrapped neighbor
+        offsets hit the same rank, so the raw pairs really repeat; the
+        sort-based dedup must return exactly what ``np.unique`` returned."""
+        import repro.solvers.p2nfft.solver as p2nfft_solver
+
+        grid = CartGrid(nprocs, np.full(3, 10.0))
+        ring = np.maximum(np.ceil(rc / grid.cell).astype(np.int64), 1)
+        assert any(d < 2 * r + 1 for d, r in zip(grid.dims, ring))
+        pos = rng.uniform(-1.0, 11.0, (200, 3))
+        sizes = []
+
+        def recording(dedup):
+            def run(keys):
+                out = dedup(keys)
+                sizes.append((keys.size, out.size))
+                return out
+            return run
+
+        monkeypatch.setattr(p2nfft_solver, "sorted_unique", recording(np.unique))
+        old_elems, old_targets = ghost_distribution(grid, pos, rc)
+        monkeypatch.undo()
+        monkeypatch.setattr(
+            p2nfft_solver, "sorted_unique", recording(p2nfft_solver.sorted_unique)
+        )
+        elems, targets = ghost_distribution(grid, pos, rc)
+        assert sizes[0] == sizes[1] and sizes[0][0] > sizes[0][1]  # real duplicates
+        for new, old in ((elems, old_elems), (targets, old_targets)):
+            assert new.dtype == old.dtype
+            np.testing.assert_array_equal(new, old)
+
+
 class TestTuning:
     def test_alpha_grows_with_accuracy(self):
         box = np.full(3, 20.0)

@@ -11,7 +11,7 @@ Property tests for the load-balanced mode of
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.balance import count_split_bounds, work_split_bounds
@@ -44,6 +44,8 @@ class TestWorkSplitBounds:
         nparts=st.integers(min_value=1, max_value=16),
     )
     @settings(max_examples=200, deadline=None)
+    @example(weights=[5e-324, 5e-324], nparts=5)
+    @example(weights=[0.0, 5e-324, 1e-323, 5e-324], nparts=3)
     def test_weight_balance_bound(self, weights, nparts):
         """Every part's work stays below ``total/P + max(w)`` — the
         granularity limit of contiguous weighted splitting."""
