@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.particles import ColumnBlock
+from repro.core.particles import ColumnBlock, common_columns
 from repro.simmpi.collectives import FlatSends, alltoallv, neighborhood_alltoallv
 from repro.simmpi.machine import Machine
 
@@ -96,13 +96,8 @@ def fine_grained_redistribute(
         raise ValueError(f"{len(blocks)} blocks for {P} ranks")
     if comm not in ("alltoall", "neighborhood"):
         raise ValueError(f"comm must be 'alltoall' or 'neighborhood', got {comm!r}")
-    names = blocks[0].names()
-    if any(b.names() != names for b in blocks):
-        raise ValueError(f"column mismatch between ranks: {names}")
-    # ranks without rows send nothing, so their column dtypes never travel
+    names = common_columns(blocks)
     sources = [b for b in blocks if b.n] or [blocks[0]]
-    if len({tuple((b[k].dtype, b[k].shape[1:]) for k in names) for b in sources}) > 1:
-        raise ValueError("column dtypes or shapes differ between ranks")
 
     # per-rank (element, target) pairs in rank order, validated as they come
     # so a bad rank raises before anything is charged

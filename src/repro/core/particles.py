@@ -21,10 +21,46 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["ColumnBlock", "ParticleSet"]
+__all__ = ["ColumnBlock", "ParticleSet", "common_columns", "row_ranges"]
 
 FLOAT = np.float64
 INT = np.int64
+
+
+def row_ranges(starts: np.ndarray, lengths: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Concatenated row ranges ``[starts[k], starts[k] + lengths[k])``.
+
+    The flat-buffer replacement for a list of ``np.arange`` calls: one
+    array of ones gets each range's jump written at its head and is
+    prefix-summed in place, so no per-row temporary is built.  ``dtype``
+    is the result's integer type; every index must fit it.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    nonempty = lengths > 0
+    starts, lengths = starts[nonempty], lengths[nonempty]
+    out = np.ones(int(lengths.sum()), dtype=dtype)
+    if out.size:
+        out[0] = starts[0]
+        out[np.cumsum(lengths[:-1])] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
+        np.cumsum(out, dtype=out.dtype, out=out)
+    return out
+
+
+def common_columns(blocks: Sequence["ColumnBlock"]) -> List[str]:
+    """The column names of per-rank blocks that travel as one flat buffer.
+
+    Checked before anything is charged: names must agree on every block,
+    dtypes and trailing shapes on every block with rows (empty blocks
+    contribute no rows, so their dtypes never travel).
+    """
+    names = blocks[0].names()
+    if any(b.names() != names for b in blocks):
+        raise ValueError(f"column mismatch between ranks: {names}")
+    sources = [b for b in blocks if b.n]
+    if len({tuple((b[k].dtype, b[k].shape[1:]) for k in names) for b in sources}) > 1:
+        raise ValueError("column dtypes or shapes differ between ranks")
+    return names
 
 
 class ColumnBlock:

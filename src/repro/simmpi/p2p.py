@@ -29,6 +29,43 @@ def _route(machine: Machine, transfers: Sequence[Tuple[int, int, Payload]]):
     return backend.route(transfers, machine.nprocs)
 
 
+def _check_transfers(machine: Machine, transfers: Sequence[Tuple[int, int, Payload]]) -> None:
+    """Reject an invalid rank *before* any auditing, routing or charging."""
+    for src, dst, _payload in transfers:
+        machine.check_rank(src)
+        machine.check_rank(dst)
+
+
+def _check_pairs(
+    machine: Machine, exchanges: Sequence[Tuple[int, int, Payload, Payload]]
+) -> np.ndarray:
+    """The ``(n, 2)`` rank table of a comparator round, validated up front.
+
+    Every rank must be valid and appear at most once, and no pair may
+    exchange with itself.  The vectorized test only detects a bad round;
+    the scalar walk then raises the error of the first bad pair in order.
+    """
+    pairs = np.asarray([(a, b) for a, b, _pa, _pb in exchanges], dtype=np.int64)
+    pairs = pairs.reshape(len(exchanges), 2)
+    ranks = pairs.ravel()
+    if ranks.size and (
+        ranks.min() < 0
+        or ranks.max() >= machine.nprocs
+        or np.bincount(ranks).max() > 1
+    ):
+        seen: set = set()
+        for a, b, _pa, _pb in exchanges:
+            a = machine.check_rank(a)
+            b = machine.check_rank(b)
+            if a == b:
+                raise ValueError(f"pair ({a}, {b}) exchanges with itself")
+            for r in (a, b):
+                if r in seen:
+                    raise ValueError(f"rank {r} appears in more than one exchange")
+                seen.add(r)
+    return pairs
+
+
 def sendrecv(
     machine: Machine,
     src: int,
@@ -92,6 +129,7 @@ def send_round(
     collective engines (:mod:`repro.simmpi.algos`) tag their rounds with
     the owning algorithm (e.g. ``"alltoallv.bruck"``).
     """
+    _check_transfers(machine, transfers)
     model = machine.model
     if machine.auditor is not None:
         machine.auditor.observe_send_round(transfers, phase)
@@ -150,48 +188,49 @@ def exchange_pairs(
 
     Both directions overlap (MPI_Sendrecv): each side pays its send overhead
     plus the arrival of the other side's message.  Each rank may appear in at
-    most one pair per call (a comparator round of a sorting network).
+    most one pair per call (a comparator round of a sorting network), so the
+    pairs are independent and are charged together, elementwise over arrays.
 
     Returns a dict mapping ``(a, b)`` to ``(received_at_a, received_at_b)``
     i.e. ``(payload_b_to_a, payload_a_to_b)``.
     """
+    pairs = _check_pairs(machine, exchanges)
     model = machine.model
     if machine.auditor is not None:
         machine.auditor.observe_exchange_pairs(exchanges, phase)
     obs = machine.obs
     clocks_before = machine.clocks.copy() if obs is not None else None
-    seen: set = set()
     before = machine.clocks.max()
-    out: Dict[Tuple[int, int], Tuple[Payload, Payload]] = {}
-    n_messages = 0
-    total_bytes = 0
     # both directions of every pair ship as one backend round
     delivered = _route(
         machine,
         [m for a, b, pa, pb in exchanges for m in ((a, b, pa), (b, a, pb))],
     )
-    for i, (a, b, pa, pb) in enumerate(exchanges):
-        a = machine.check_rank(a)
-        b = machine.check_rank(b)
-        if a == b:
-            raise ValueError(f"pair ({a}, {b}) exchanges with itself")
-        for r in (a, b):
-            if r in seen:
-                raise ValueError(f"rank {r} appears in more than one exchange")
-            seen.add(r)
-        bytes_ab = payload_nbytes(pa)
-        bytes_ba = payload_nbytes(pb)
-        hops = int(machine.topology.hops(a, b))
-        post_a = machine.clocks[a] + model.overhead + float(model.copy_time(bytes_ab))
-        post_b = machine.clocks[b] + model.overhead + float(model.copy_time(bytes_ba))
-        pair_factor = machine.comm_factor(a, b)
-        arrive_at_b = post_a + float(model.msg_time(hops, bytes_ab)) * pair_factor - model.overhead
-        arrive_at_a = post_b + float(model.msg_time(hops, bytes_ba)) * pair_factor - model.overhead
-        machine.clocks[a] = max(post_a, arrive_at_a) + float(model.copy_time(bytes_ba))
-        machine.clocks[b] = max(post_b, arrive_at_b) + float(model.copy_time(bytes_ab))
-        out[(a, b)] = (delivered[2 * i + 1], delivered[2 * i])
-        n_messages += 2
-        total_bytes += bytes_ab + bytes_ba
+    sizes = np.asarray(
+        [payload_nbytes(p) for _a, _b, pa, pb in exchanges for p in (pa, pb)],
+        dtype=np.int64,
+    ).reshape(len(exchanges), 2)
+    if len(exchanges):
+        a, b = pairs[:, 0], pairs[:, 1]
+        bytes_ab, bytes_ba = sizes[:, 0], sizes[:, 1]
+        clocks = machine.clocks
+        hops = machine.topology.hops(a, b)
+        factors = machine.comm_factors
+        # a message is as slow as its slowest endpoint; exactly 1.0 (the
+        # float identity) on an unperturbed machine
+        pair_factor = 1.0 if factors is None else np.maximum(factors[a], factors[b])
+        post_a = clocks[a] + model.overhead + model.copy_time(bytes_ab)
+        post_b = clocks[b] + model.overhead + model.copy_time(bytes_ba)
+        arrive_at_b = post_a + model.msg_time(hops, bytes_ab) * pair_factor - model.overhead
+        arrive_at_a = post_b + model.msg_time(hops, bytes_ba) * pair_factor - model.overhead
+        clocks[a] = np.maximum(post_a, arrive_at_a) + model.copy_time(bytes_ba)
+        clocks[b] = np.maximum(post_b, arrive_at_b) + model.copy_time(bytes_ab)
+    out = {
+        (a, b): (delivered[2 * i + 1], delivered[2 * i])
+        for i, (a, b) in enumerate(pairs.tolist())
+    }
+    n_messages = 2 * len(exchanges)
+    total_bytes = int(sizes.sum())
     t = float(machine.clocks.max() - before)
     machine.trace.record(phase, time=t, messages=n_messages, nbytes=total_bytes)
     if obs is not None:

@@ -37,7 +37,7 @@ import numpy as np
 from repro import kernels
 from repro.core.fine_grained import fine_grained_redistribute
 from repro.core.movement import fmm_prefers_merge_sort
-from repro.core.particles import ColumnBlock, ParticleSet
+from repro.core.particles import ColumnBlock, ParticleSet, row_ranges
 from repro.core.resort import initial_numbering, invert_indices
 from repro.core.restore import restore_results
 from repro.simmpi.collectives import allgatherv, allreduce
@@ -151,22 +151,23 @@ class FMMSolver(Solver):
     # -- helpers ----------------------------------------------------------------
 
     def _make_blocks(self, particles: ParticleSet) -> List[ColumnBlock]:
-        """Per-rank blocks (key, pos, q, origloc) with keygen cost."""
-        numbering = initial_numbering(particles.counts())
-        blocks: List[ColumnBlock] = []
-        cost = np.zeros(self.machine.nprocs)
-        for r in range(self.machine.nprocs):
-            keys = self.tree.morton_keys(particles.pos[r])
-            blocks.append(
-                ColumnBlock(
-                    key=keys,
-                    pos=particles.pos[r].copy(),
-                    q=particles.q[r].copy(),
-                    origloc=numbering[r],
-                )
-            )
-            cost[r] = kernels.KEY_GENERATION * keys.shape[0]
-        self.machine.compute(cost, phase="keygen")
+        """Per-rank blocks (key, pos, q, origloc) with keygen cost.
+
+        The keys of all ranks come from one elementwise key-generation call
+        over the concatenated positions; each block holds row views of the
+        concatenated (fresh) columns.
+        """
+        counts = particles.counts()
+        numbering = initial_numbering(counts)
+        bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+        pos = np.concatenate(particles.pos)
+        q = np.concatenate(particles.q)
+        keys = self.tree.morton_keys(pos)
+        blocks = [
+            ColumnBlock(key=keys[lo:hi], pos=pos[lo:hi], q=q[lo:hi], origloc=numbering[r])
+            for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
+        ]
+        self.machine.compute(kernels.KEY_GENERATION * counts, phase="keygen")
         return blocks
 
     def _attach_weights(self, blocks: Sequence[ColumnBlock]) -> None:
@@ -299,68 +300,80 @@ class FMMSolver(Solver):
         blocks: Sequence[ColumnBlock],
         ownership: Tuple[np.ndarray, np.ndarray, np.ndarray],
     ) -> List[ColumnBlock]:
-        """Send boundary-box particle copies to ranks owning adjacent boxes."""
+        """Send boundary-box particle copies to ranks owning adjacent boxes.
+
+        All ranks' halo targets come from one pass over the concatenated
+        (per-rank sorted) keys: a box run is a maximal run of equal keys on
+        one rank.  Per neighbor direction, one key encoding and one owner
+        lookup cover every run; ``(run, owner)`` pairs other than the run's
+        own rank are deduplicated as ``run * P + owner``, which orders them
+        by rank, then local box, then destination.  Each rank's runs expand
+        to its slice of one flat ``(element, target)`` table.
+        """
         from repro.zorder.morton import morton_decode3, morton_encode3
         import itertools
 
         rank_ids, min_keys, max_keys = ownership
         P = self.machine.nprocs
         nside = self.tree.nside_leaf
-        send_elems: List[np.ndarray] = []
-        send_targets: List[np.ndarray] = []
-        for r, block in enumerate(blocks):
-            if block.n == 0:
-                send_elems.append(np.empty(0, dtype=np.int64))
-                send_targets.append(np.empty(0, dtype=np.int64))
+        counts = np.asarray([b.n for b in blocks], dtype=np.int64)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        keys = np.concatenate([b["key"] for b in blocks])
+        head = np.ones(keys.shape[0], dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        head[starts[counts > 0]] = True
+        run_first = np.flatnonzero(head)
+        del head
+        run_len = np.diff(np.append(run_first, keys.shape[0]))
+        run_rank = np.searchsorted(ends, run_first, side="right")
+        bx, by, bz = (c.astype(np.int64) for c in morton_decode3(keys[run_first]))
+        del keys
+        composite: List[np.ndarray] = []
+        for d in itertools.product((-1, 0, 1), repeat=3):
+            if d == (0, 0, 0):
                 continue
-            keys = block["key"]
-            boxes, first = np.unique(keys, return_index=True)
-            last = np.concatenate((first[1:], [keys.shape[0]]))
-            bx, by, bz = (c.astype(np.int64) for c in morton_decode3(boxes))
-            dest_box: List[np.ndarray] = []
-            dest_rank: List[np.ndarray] = []
-            for d in itertools.product((-1, 0, 1), repeat=3):
-                if d == (0, 0, 0):
-                    continue
-                nx, ny, nz = bx + d[0], by + d[1], bz + d[2]
-                if self.periodic:
-                    nx, ny, nz = nx % nside, ny % nside, nz % nside
-                    mask = np.ones(boxes.shape[0], dtype=bool)
-                else:
-                    mask = (
-                        (nx >= 0) & (nx < nside)
-                        & (ny >= 0) & (ny < nside)
-                        & (nz >= 0) & (nz < nside)
-                    )
-                    if not mask.any():
-                        continue
-                    nx, ny, nz = nx[mask], ny[mask], nz[mask]
-                nkeys = morton_encode3(nx, ny, nz)
-                ki, owners = self._owners_of_keys(nkeys, rank_ids, min_keys, max_keys)
-                box_idx = np.flatnonzero(mask)[ki]
-                keep = owners != r
-                dest_box.append(box_idx[keep])
-                dest_rank.append(owners[keep])
-            if dest_box:
-                db = np.concatenate(dest_box)
-                dr = np.concatenate(dest_rank)
-                pairs = np.unique(np.stack([db, dr], axis=1), axis=0)
-                db, dr = pairs[:, 0], pairs[:, 1]
-                seg_len = (last - first)[db]
-                elems = np.concatenate(
-                    [np.arange(first[b], last[b]) for b in db]
-                ) if db.size else np.empty(0, dtype=np.int64)
-                targets = np.repeat(dr, seg_len)
+            nx, ny, nz = bx + d[0], by + d[1], bz + d[2]
+            if self.periodic:
+                nx, ny, nz = nx % nside, ny % nside, nz % nside
+                run_of = None
             else:
-                elems = np.empty(0, dtype=np.int64)
-                targets = np.empty(0, dtype=np.int64)
-            send_elems.append(elems)
-            send_targets.append(targets)
+                mask = (
+                    (nx >= 0) & (nx < nside)
+                    & (ny >= 0) & (ny < nside)
+                    & (nz >= 0) & (nz < nside)
+                )
+                nx, ny, nz = nx[mask], ny[mask], nz[mask]
+                run_of = np.flatnonzero(mask)
+            ki, owners = self._owners_of_keys(
+                morton_encode3(nx, ny, nz), rank_ids, min_keys, max_keys
+            )
+            runs = ki if run_of is None else run_of[ki]
+            keep = owners != run_rank[runs]
+            composite.append(runs[keep] * P + owners[keep])
+        del bx, by, bz, nx, ny, nz
+        runs, dest = np.divmod(sorted_unique(np.concatenate(composite)), P)
+        del composite
+        seg_len = run_len[runs]
+        row_bounds = np.concatenate(([0], np.cumsum(seg_len)))[
+            np.searchsorted(run_rank[runs], np.arange(P + 1))
+        ].tolist()
+        # element indices are local to the sending rank.  The table lives
+        # through the exchange, which converts one rank's slice at a time,
+        # so it is stored in the narrowest index and rank dtypes
+        elems = row_ranges(
+            run_first[runs] - starts[run_rank[runs]],
+            seg_len,
+            np.min_scalar_type(-max(int(counts.max(initial=0)), 1)),
+        )
+        targets = np.repeat(dest.astype(np.min_scalar_type(P - 1)), seg_len)
+        del runs, dest, seg_len, run_first, run_len, run_rank
 
         halo_in = [b.drop("origloc") for b in blocks]
 
         def dist(rank: int, block: ColumnBlock):
-            return send_elems[rank], send_targets[rank]
+            lo, hi = row_bounds[rank], row_bounds[rank + 1]
+            return elems[lo:hi], targets[lo:hi]
 
         return fine_grained_redistribute(
             self.machine, halo_in, dist, phase="halo", comm="neighborhood"
@@ -445,6 +458,8 @@ class FMMSolver(Solver):
         pots: List[np.ndarray] = []
         fields: List[np.ndarray] = []
         near_cost = np.zeros(P)
+        # homogeneous leaf-box occupancy of the skip-compute uniform estimate
+        occupancy = float(new_counts.sum()) / self.tree.nboxes_leaf
         for r in range(P):
             own = blocks[r]
             if own.n == 0:
@@ -466,7 +481,6 @@ class FMMSolver(Solver):
                     continue
                 # analytic pair estimate: homogeneous occupancy over the
                 # populated neighborhood
-                occupancy = float(sum(new_counts)) / self.tree.nboxes_leaf
                 near_cost[r] = kernels.PAIR_INTERACTION * own.n * 27.0 * max(occupancy, 1.0)
                 continue
             if halo[r].n:

@@ -15,6 +15,16 @@ for almost-sorted data is a small fraction of the particles.  This is why
 "sorting the particles in this case causes that a majority of the particles
 stays on its current process" translates into tiny redistribution times
 (Fig. 7/8).
+
+Data plane: one flat buffer per column.  A comparator splits the merged
+pair back at the original counts, so every rank keeps its row count and
+its row offset in the buffer for the whole network.  Each round is then a
+permutation inside the window regions only (a's suffix, b's prefix): one
+stable sort of all overlapping pairs' windows by ``(pair, key)`` scatters
+the merged rows back in place.  Control and window payloads are views of
+the table and the buffer, and the result is one row slice per rank — a
+view, read-only under the delivery aliasing contract of
+``docs/backends.md``.
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import kernels
-from repro.core.particles import ColumnBlock
+from repro.core.particles import ColumnBlock, common_columns, row_ranges
 from repro.simmpi.machine import Machine
 from repro.simmpi.p2p import exchange_pairs
 from repro.sorting.batcher import merge_exchange_rounds
@@ -56,14 +66,6 @@ def local_sort(
     return out
 
 
-def _control_payload(block: ColumnBlock, key: str) -> np.ndarray:
-    """(count, min key, max key) as a 3-element array (24-byte message)."""
-    keys = block[key]
-    if keys.shape[0] == 0:
-        return np.zeros(3, dtype=np.uint64)
-    return np.asarray([keys.shape[0], keys[0], keys[-1]], dtype=np.uint64)
-
-
 def merge_exchange_sort(
     machine: Machine,
     blocks: Sequence[ColumnBlock],
@@ -78,8 +80,9 @@ def merge_exchange_sort(
     Parameters
     ----------
     blocks:
-        one block per rank; per-rank counts are preserved (a comparator
-        splits the merged pair back at the original counts).
+        one block per rank (identical column sets); per-rank counts are
+        preserved (a comparator splits the merged pair back at the
+        original counts).
     presorted:
         skip the initial local sorts when each rank's block is already
         locally sorted (the method-B steady state: the previous step's
@@ -97,76 +100,93 @@ def merge_exchange_sort(
     sorted, counts unchanged", and additionally ``max(key on rank i) <=
     min(key on rank j)`` for all ``i < j`` whenever ``sorted_ok``.
     """
-    if len(blocks) != machine.nprocs:
-        raise ValueError(f"{len(blocks)} blocks for {machine.nprocs} ranks")
-    current = list(blocks) if presorted else local_sort(machine, blocks, key, phase)
     P = machine.nprocs
+    if len(blocks) != P:
+        raise ValueError(f"{len(blocks)} blocks for {P} ranks")
+    names = common_columns(blocks)
+    current = list(blocks) if presorted else local_sort(machine, blocks, key, phase)
     if P == 1:
         return current, True
 
+    # one buffer per column; rank r owns rows [starts[r], ends[r]) throughout
+    counts = np.asarray([b.n for b in current], dtype=np.int64)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    nonempty = np.flatnonzero(counts)
+    sources = [current[r] for r in nonempty] or [current[0]]
+    buffer = ColumnBlock()
+    for name in names:
+        buffer[name] = np.concatenate([b[name] for b in sources])
+    del current, sources
+    columns = [buffer[name] for name in names]
+    keys = buffer[key]
+
     for round_pairs in merge_exchange_rounds(P):
-        # 1. control exchange: (count, min, max) both ways for every pair
-        controls = exchange_pairs(
+        pairs = np.asarray(round_pairs, dtype=np.int64)
+        # 1. control exchange: (count, min key, max key) both ways for every
+        #    pair, 24 bytes each way; empty ranks send zeros
+        ctrl = np.zeros((P, 3), dtype=np.uint64)
+        ctrl[nonempty, 0] = counts[nonempty]
+        ctrl[nonempty, 1] = keys[starts[nonempty]]
+        ctrl[nonempty, 2] = keys[ends[nonempty] - 1]
+        exchange_pairs(machine, [(a, b, ctrl[a], ctrl[b]) for a, b in round_pairs], phase)
+        # 2. the pairs whose runs overlap; windows are a suffix of a (keys
+        #    >= b.min) and a prefix of b (keys <= a.max)
+        ca, cb = ctrl[pairs[:, 0]], ctrl[pairs[:, 1]]
+        overlap = (ca[:, 0] > 0) & (cb[:, 0] > 0) & (ca[:, 2] > cb[:, 1])
+        if not overlap.any():
+            continue  # already ordered: no particle data moves
+        a, b = pairs[overlap, 0], pairs[overlap, 1]
+        na_win = np.empty(a.shape[0], dtype=np.int64)
+        nb_win = np.empty(a.shape[0], dtype=np.int64)
+        for i, (ra, rb) in enumerate(zip(a.tolist(), b.tolist())):
+            na_win[i] = counts[ra] - np.searchsorted(
+                keys[starts[ra]:ends[ra]], ctrl[rb, 1], side="left"
+            )
+            nb_win[i] = np.searchsorted(keys[starts[rb]:ends[rb]], ctrl[ra, 2], side="right")
+        a_lo, a_hi = ends[a] - na_win, ends[a]
+        b_lo, b_hi = starts[b], starts[b] + nb_win
+        # 3. window exchange (both directions overlap, one message each way);
+        #    the payloads are row views of the buffer
+        exchange_pairs(
             machine,
             [
-                (a, b, _control_payload(current[a], key), _control_payload(current[b], key))
-                for a, b in round_pairs
+                (
+                    ra, rb,
+                    tuple(c[lo_a:hi_a] for c in columns),
+                    tuple(c[lo_b:hi_b] for c in columns),
+                )
+                for ra, rb, lo_a, hi_a, lo_b, hi_b in zip(
+                    a.tolist(), b.tolist(), a_lo.tolist(), a_hi.tolist(),
+                    b_lo.tolist(), b_hi.tolist(),
+                )
             ],
             phase,
         )
-        # 2. decide which pairs actually overlap; windows are a suffix of a
-        #    (keys >= b.min) and a prefix of b (keys <= a.max), both
-        #    non-empty whenever the runs overlap
-        windows: List[Tuple[int, int, ColumnBlock, ColumnBlock, int, int]] = []
-        for a, b in round_pairs:
-            ctrl_b, ctrl_a = controls[(a, b)]  # received at a: b's control
-            count_a, _min_a, max_a = int(ctrl_a[0]), ctrl_a[1], ctrl_a[2]
-            count_b, min_b, _max_b = int(ctrl_b[0]), ctrl_b[1], ctrl_b[2]
-            if count_a == 0 or count_b == 0:
-                continue
-            if max_a <= min_b:
-                continue  # already ordered: no particle data moves
-            keys_a = current[a][key]
-            keys_b = current[b][key]
-            na_win = count_a - int(np.searchsorted(keys_a, min_b, side="left"))
-            nb_win = int(np.searchsorted(keys_b, max_a, side="right"))
-            wa = current[a].take(np.arange(count_a - na_win, count_a))
-            wb = current[b].take(np.arange(nb_win))
-            windows.append((a, b, wa, wb, na_win, nb_win))
-        if not windows:
-            continue
-        # 3. window exchange (both directions overlap, one message each way)
-        exchange_pairs(
-            machine,
-            [(a, b, wa.payload(), wb.payload()) for a, b, wa, wb, _, _ in windows],
-            phase,
+        # 4. merge each pair's (a-window, b-window) rows with one stable sort
+        #    by (pair, key) and write them back to the same rows: a keeps the
+        #    lowest na_win, b the highest nb_win — the permutation both sides
+        #    of a pair derive from the identical combined window
+        w = na_win + nb_win
+        rows = row_ranges(
+            np.stack([a_lo, b_lo], axis=1).ravel(),
+            np.stack([na_win, nb_win], axis=1).ravel(),
         )
-        # 4. merge the identical combined window on both sides and split at
-        #    the original counts: a keeps the lowest na_win, b the highest
-        #    nb_win.  Both sides concatenate in (a-window, b-window) order
-        #    and sort stably, so they derive the same permutation.
+        order = np.lexsort((keys[rows], np.repeat(np.arange(w.shape[0]), w)))
+        moved = rows[order]
+        for column in columns:
+            column[rows] = column[moved]
         merge_cost = np.zeros(P, dtype=np.float64)
-        for a, b, wa, wb, na_win, nb_win in windows:
-            combined = ColumnBlock.concat([wa, wb])
-            order = np.argsort(combined[key], kind="stable")
-            low = combined.take(order[:na_win])
-            high = combined.take(order[na_win:])
-            n_keep_a = current[a].n - na_win
-            current[a] = ColumnBlock.concat(
-                [current[a].take(np.arange(n_keep_a)), low]
-            )
-            current[b] = ColumnBlock.concat(
-                [high, current[b].take(np.arange(nb_win, current[b].n))]
-            )
-            w = combined.n
-            if w > 1:
-                merge_cost[a] += kernels.SORT_STEP * w * np.log2(w)
-                merge_cost[b] += kernels.SORT_STEP * w * np.log2(w)
+        big = w > 1
+        cost = kernels.SORT_STEP * w[big] * np.log2(w[big])
+        merge_cost[a[big]] = cost
+        merge_cost[b[big]] = cost
         machine.compute(merge_cost, phase)
 
+    out = [buffer.row_slice(s, e) for s, e in zip(starts.tolist(), ends.tolist())]
     if not verify:
-        return current, True
-    return current, _verify_sorted(machine, current, key, phase)
+        return out, True
+    return out, _verify_sorted(machine, out, key, phase)
 
 
 def _verify_sorted(

@@ -172,3 +172,28 @@ def test_no_call_site_mutates_received_payloads(solver, method, algos):
         sim.run(2)
     finally:
         sim.fcs.destroy()
+
+
+def test_fmm_merge_windows_do_not_mutate_received_payloads(monkeypatch):
+    """The sweep above never moves merge-exchange windows (its runs stay
+    ordered); a drifting grid does, so the in-place window merge of the
+    flat sort buffer runs under read-only delivery too."""
+    import repro.sorting.merge_sort as merge_sort
+
+    merges = []
+    row_ranges = merge_sort.row_ranges
+    monkeypatch.setattr(
+        merge_sort, "row_ranges", lambda *args: merges.append(1) or row_ranges(*args)
+    )
+    machine = Machine(4)
+    machine.attach_backend(ReadOnlyBackend())
+    config = SimulationConfig(
+        solver="fmm", method="B+move", seed=0, dynamics="brownian",
+        distribution="grid", solver_kwargs={"compute": "skip"},
+    )
+    sim = Simulation(machine, silica_melt_system(96, seed=0), config)
+    try:
+        sim.run(3)
+    finally:
+        sim.fcs.destroy()
+    assert merges, "no merge-exchange window moved"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.particles import ColumnBlock, ParticleSet
+from repro.core.particles import ColumnBlock, ParticleSet, row_ranges
 
 
 class TestColumnBlock:
@@ -144,3 +144,17 @@ class TestParticleSet:
         assert ps.gather_charges().shape == (8,)
         assert ps.gather_potentials().shape == (8,)
         assert ps.gather_fields().shape == (8, 3)
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 120), st.integers(0, 6)), max_size=12),
+    st.sampled_from([np.int64, np.int16, np.int8]),
+)
+@settings(max_examples=60, deadline=None)
+def test_row_ranges_concatenates_aranges(segments, dtype):
+    starts = [s for s, _ in segments]
+    lengths = [n for _, n in segments]
+    out = row_ranges(np.asarray(starts), np.asarray(lengths), dtype)
+    expected = [i for s, n in segments for i in range(s, s + n)]
+    assert out.dtype == dtype
+    assert out.tolist() == expected
