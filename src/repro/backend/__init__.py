@@ -1,16 +1,16 @@
 """repro.backend — pluggable execution engines for the virtual machine.
 
 The simulated machine of :mod:`repro.simmpi` is the physics oracle: modeled
-clocks, LogGP charges and traces never depend on the engine.  This package
-decides the *hosting* — where payload bytes travel and where per-rank work
-runs on the host:
+clocks, LogGP charges and traces never depend on the engine.  Payloads are
+always delivered in the calling process; this package only decides where
+independent host work runs:
 
-* ``"inprocess"`` (default): all ranks in the calling process, byte- and
-  object-identical to builds that predate this package.
-* ``"process"`` / ``"process:N"``: virtual ranks hosted by real
-  ``multiprocessing`` workers; payload bytes traverse POSIX shared memory
-  while modeled costs are still charged centrally, keeping fingerprints
-  bitwise-identical.
+* ``"inprocess"`` (default): every task runs in the calling process.
+* ``"process"`` / ``"process:N"``: a pool of spawned ``multiprocessing``
+  workers runs the two fan-outs that pay for themselves — the P2NFFT
+  per-rank near field (:meth:`~ExecutionBackend.rank_map`) and the fig7
+  benchmark cells (:meth:`~ExecutionBackend.map_tasks`).  Tasks are pure,
+  so fingerprints stay bitwise-identical.
 
 Select an engine with ``SimulationConfig(backend="process")``,
 ``machine.attach_backend(resolve_backend("process:4"))``, or the
@@ -41,7 +41,7 @@ __all__ = [
 
 
 def export_metrics(backend, registry) -> None:
-    """Publish a backend's transport counters as ``backend.*`` gauges on an
+    """Publish a backend's counters as ``backend.*`` gauges on an
     observability registry (:class:`repro.obs.MetricsRegistry`).
 
     Schema (all monotonic over the backend's lifetime):
@@ -49,10 +49,6 @@ def export_metrics(backend, registry) -> None:
     ==========================  =====================================================
     metric                      meaning
     ==========================  =====================================================
-    ``backend.exchanges``       alltoallv deliveries routed through the engine
-    ``backend.messages``        inter-rank point-to-point payloads shipped
-    ``backend.shm_bytes``       payload bytes that traversed shared memory
-    ``backend.tickets``         SPMD mailbox payloads posted
     ``backend.tasks``           per-rank / fan-out task invocations
     ``backend.spawn_ns``        host ns spent spawning worker processes
     ``backend.wait_ns``         host ns the coordinator spent awaiting workers

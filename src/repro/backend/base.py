@@ -1,28 +1,23 @@
-"""Execution-backend abstraction: who hosts the virtual ranks.
+"""Execution-backend abstraction: where independent host work runs.
 
 Every subsystem of this reproduction drives the *simulated* machine — the
 virtual clocks, the LogGP cost model and the trace are the physics of the
-experiment and never depend on where Python code actually executes.  An
-:class:`ExecutionBackend` decides the *hosting*: where payload bytes travel
-when ranks communicate and where per-rank work runs on the host.
+experiment and never depend on where Python code actually executes.
+Payloads always move inside the calling process (:mod:`repro.simmpi`
+delivers them by reference).  An :class:`ExecutionBackend` is a task
+fan-out: it decides where pure, independent host tasks run.
 
 Two engines ship:
 
 * :class:`~repro.backend.inprocess.InProcessBackend` (default) — every
-  virtual rank lives in the calling process; payload delivery is the
-  historical in-process list shuffle, byte-identical to a build without
-  this package.
-* :class:`~repro.backend.process.ProcessBackend` — each virtual rank is
-  owned by a real ``multiprocessing`` worker (rank ``r`` → worker
-  ``r % workers``); alltoallv/p2p payload bytes physically traverse
-  POSIX shared memory and the destination rank's worker performs the
-  receive-side assembly, while modeled costs are still charged centrally
-  so traces, ledgers and state fingerprints stay **bitwise identical** to
-  the in-process run.
+  task runs in the calling process.
+* :class:`~repro.backend.process.ProcessBackend` — spawned
+  ``multiprocessing`` workers run the tasks (rank ``r``'s task on worker
+  ``r % workers``).  Tasks are pure and deterministic, so traces, ledgers
+  and state fingerprints stay **bitwise identical** to the in-process run.
 
-Backends are deliberately *transport + task* layers, not schedulers: the
-charging code in :mod:`repro.simmpi` never moves, which is what makes the
-cross-backend differential matrix (``tests/backend``) a pure equality
+The charging code in :mod:`repro.simmpi` never moves, which is what makes
+the cross-backend differential matrix (``tests/backend``) a pure equality
 assertion.
 """
 
@@ -30,7 +25,7 @@ from __future__ import annotations
 
 import atexit
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "BACKEND_NAMES",
@@ -54,61 +49,21 @@ class BackendWorkerError(BackendError):
 
 
 class ExecutionBackend:
-    """Interface every execution engine implements.
-
-    The payload vocabulary is that of :mod:`repro.simmpi.collectives`: a
-    payload is ``None``, an ``ndarray``, or a tuple/list of ndarrays.
-    """
+    """Interface every execution engine implements."""
 
     #: engine name ("inprocess", "process")
     name: str = "abstract"
-    #: number of worker processes (0 = the calling process hosts all ranks)
+    #: number of worker processes (0 = the calling process runs every task)
     workers: int = 0
 
     def __init__(self) -> None:
-        #: monotonic transport counters (exported as ``backend.*`` metrics
-        #: by :func:`repro.backend.export_metrics`)
+        #: monotonic counters (exported as ``backend.*`` metrics by
+        #: :func:`repro.backend.export_metrics`)
         self.counters: Dict[str, int] = {
-            "backend.exchanges": 0,
-            "backend.messages": 0,
-            "backend.shm_bytes": 0,
-            "backend.tickets": 0,
             "backend.tasks": 0,
             "backend.spawn_ns": 0,
             "backend.wait_ns": 0,
         }
-
-    # -- transport ----------------------------------------------------------------
-
-    def deliver(self, sends: Sequence[Dict[int, object]], nprocs: int):
-        """Move alltoallv payloads; see :func:`repro.simmpi.collectives.alltoallv`.
-
-        Returns ``recv`` with ``recv[j]`` a source-sorted list of
-        ``(source_rank, payload)``.
-        """
-        raise NotImplementedError
-
-    def route(self, transfers: Sequence[Tuple[int, int, object]], nprocs: int) -> List[object]:
-        """Ship a batch of point-to-point payloads ``(src, dst, payload)``.
-
-        Returns the payloads as observed at the destinations, in input
-        order (self-transfers are returned as-is, like an MPI local
-        delivery).
-        """
-        raise NotImplementedError
-
-    def post_ticket(self, payload) -> object:
-        """Hand a payload to the transport (SPMD send side); returns a
-        claim ticket."""
-        raise NotImplementedError
-
-    def claim_ticket(self, ticket):
-        """Redeem a ticket posted by :meth:`post_ticket` (SPMD recv side)."""
-        raise NotImplementedError
-
-    def discard_ticket(self, ticket) -> None:
-        """Drop an unclaimed ticket (failed SPMD runs), freeing resources."""
-        raise NotImplementedError
 
     # -- host-side execution ---------------------------------------------------------
 
@@ -130,7 +85,7 @@ class ExecutionBackend:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
-        """Tear down workers and transport resources (idempotent)."""
+        """Tear down workers (idempotent)."""
 
     @property
     def closed(self) -> bool:

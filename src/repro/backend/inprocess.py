@@ -1,34 +1,17 @@
 """The in-process execution engine (default).
 
-All virtual ranks live in the calling process.  Delivery is the historical
-list shuffle of :mod:`repro.simmpi.collectives` — payload *objects* are
-handed to their destinations without copying, exactly what every release
-before the backend seam did, so an attached ``InProcessBackend`` is
-byte-identical (and object-identical) to no backend at all.
+Every task runs in the calling process, in order — what the solvers do
+without any backend attached.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 from repro.backend.base import ExecutionBackend
 
-__all__ = ["InProcessBackend", "deliver_inprocess", "import_task"]
-
-
-def deliver_inprocess(sends: Sequence[Dict[int, object]], nprocs: int):
-    """The historical alltoallv delivery: ``recv[j]`` is a source-ordered
-    list of ``(src, payload)`` referencing the sender's payload objects."""
-    recv: List[List[Tuple[int, object]]] = [[] for _ in range(nprocs)]
-    for src, targets in enumerate(sends):
-        for dst, payload in targets.items():
-            if not 0 <= dst < nprocs:
-                raise ValueError(f"rank {src} sends to invalid rank {dst}")
-            recv[dst].append((src, payload))
-    for lst in recv:
-        lst.sort(key=lambda item: item[0])
-    return recv
+__all__ = ["InProcessBackend", "import_task"]
 
 
 def import_task(fn_path: str) -> Callable:
@@ -45,28 +28,10 @@ def import_task(fn_path: str) -> Callable:
 
 
 class InProcessBackend(ExecutionBackend):
-    """Every rank in the calling process; zero-copy delivery."""
+    """Every task in the calling process."""
 
     name = "inprocess"
     workers = 0
-
-    def deliver(self, sends: Sequence[Dict[int, object]], nprocs: int):
-        self.counters["backend.exchanges"] += 1
-        return deliver_inprocess(sends, nprocs)
-
-    def route(self, transfers: Sequence[Tuple[int, int, object]], nprocs: int) -> List[object]:
-        self.counters["backend.messages"] += len(transfers)
-        return [payload for _src, _dst, payload in transfers]
-
-    def post_ticket(self, payload):
-        self.counters["backend.tickets"] += 1
-        return payload
-
-    def claim_ticket(self, ticket):
-        return ticket
-
-    def discard_ticket(self, ticket) -> None:
-        pass
 
     def rank_map(self, fn_path: str, per_rank_args: Sequence[tuple], shared=None) -> List[object]:
         fn = import_task(fn_path)

@@ -1,49 +1,42 @@
-"""The multiprocess execution engine: one worker pool hosting the virtual ranks.
+"""The multiprocess execution engine: a worker pool for task fan-out.
 
-Rank ``r`` is owned by worker ``r % workers``.  Control flows over
-duplex pipes; bulk payload bytes flow through POSIX shared memory
-(:mod:`repro.backend.shm`):
+Requests, task arguments and results travel over duplex pipes:
 
-* :meth:`ProcessBackend.deliver` / :meth:`ProcessBackend.route` — the
-  coordinator packs every inter-rank payload column into a *send arena*,
-  each destination rank's worker copies its inbound blocks into the
-  *receive arena*, and the coordinator decodes fresh arrays.  Every
-  inter-rank byte of an alltoallv / p2p round therefore physically
-  traverses shared memory and the destination worker.
-* :meth:`ProcessBackend.post_ticket` / :meth:`~ProcessBackend.claim_ticket`
-  — the SPMD mailbox seam: one arena per in-flight message.
-* :meth:`ProcessBackend.rank_map` / :meth:`ProcessBackend.map_tasks` —
-  per-rank compute and generic task fan-out on the workers (tasks are
-  named by dotted import path, the spawn-safe way to reference code).
+* :meth:`ProcessBackend.rank_map` — per-rank compute; rank ``r``'s task
+  runs on worker ``r % workers`` (the P2NFFT near field);
+* :meth:`ProcessBackend.map_tasks` — generic task fan-out, item ``i`` on
+  worker ``i % workers`` (the fig7 benchmark cells).
+
+Tasks are named by dotted import path, the spawn-safe way to reference
+code.
 
 Workers are started with the **spawn** method, never fork: a forked child
 would inherit whatever module-level state the coordinator has accumulated
 (instrument collectors, observability rings, cached plans, RNG state), and
 the cross-backend equivalence contract requires workers to start from a
-clean import (see ``tests/backend/test_process_isolation.py``).
+clean import (see ``tests/backend/test_fork_state.py``).
 
-Modeled time is *never* charged here.  The cost model runs centrally in
-:mod:`repro.simmpi` before delivery, so a process-backend run's trace,
-ledger and state fingerprints are bitwise those of the in-process run; this
-layer only decides where host wall-clock is spent.
+Modeled time is *never* charged here, and payloads never pass through
+here: :mod:`repro.simmpi` charges and delivers them in the coordinator, so a
+process-backend run's trace, ledger and state fingerprints are bitwise
+those of the in-process run; this layer only decides where host wall-clock
+is spent.
 
 Failure semantics: a worker death is detected by the coordinator's poll
 loop and surfaces as :class:`~repro.backend.base.BackendWorkerError`
-naming the worker, its owned virtual ranks and the exit code — an exchange
-never hangs on a corpse.  After a worker death the backend refuses further
-work (``closed``), since rank state is gone.
+naming the worker, its virtual ranks and the exit code — a fan-out never
+hangs on a corpse.  After a worker death the backend refuses further work
+(``closed``).
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import threading
 import time
 import traceback
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.backend import shm as _shm
 from repro.backend.base import BackendError, BackendWorkerError, ExecutionBackend
 from repro.backend.inprocess import import_task
 
@@ -64,10 +57,10 @@ def _probe_worker_state() -> dict:
 
     Workers are started with the ``spawn`` method precisely so that no
     coordinator-side module state — solver registries, backend singletons,
-    live shm registries, warmed caches — leaks into them by fork.  The
-    fork-state regression suite asserts on this report: a worker
-    interpreter holds only the modules the backend itself needs, and none
-    of the coordinator's mutable registries carry entries.
+    warmed caches — leaks into them by fork.  The fork-state regression
+    suite asserts on this report: a worker interpreter holds only the
+    modules the backend itself needs, and none of the coordinator's mutable
+    registries carry entries.
     """
     import multiprocessing
     import sys
@@ -83,12 +76,11 @@ def _probe_worker_state() -> dict:
         ),
         "backend_singletons": len(_base._singletons),
         "solver_registry": sorted(_handle._REGISTRY),
-        "live_shm_segments": _shm.live_segments(),
     }
 
 
 def _worker_main(worker_index: int, conn) -> None:
-    """Worker loop: copy jobs, task calls, shutdown.  Runs in the child."""
+    """Worker loop: task calls, pings, shutdown.  Runs in the child."""
     while True:
         try:
             msg = conn.recv()
@@ -102,25 +94,7 @@ def _worker_main(worker_index: int, conn) -> None:
                 pass
             return
         try:
-            if kind == "copy":
-                _, in_name, out_name, jobs = msg
-                copied = 0
-                src_arena = _shm.ShmArena.attach(in_name)
-                try:
-                    dst_arena = _shm.ShmArena.attach(out_name)
-                    try:
-                        src_buf, dst_buf = src_arena.buf, dst_arena.buf
-                        for offset, nbytes in jobs:
-                            dst_buf[offset : offset + nbytes] = src_buf[
-                                offset : offset + nbytes
-                            ]
-                            copied += nbytes
-                    finally:
-                        dst_arena.detach()
-                finally:
-                    src_arena.detach()
-                conn.send(("ok", copied))
-            elif kind == "call":
+            if kind == "call":
                 _, fn_path, with_shared, shared, items = msg
                 fn = import_task(fn_path)
                 results = []
@@ -144,7 +118,7 @@ def _worker_main(worker_index: int, conn) -> None:
 
 
 class ProcessBackend(ExecutionBackend):
-    """Real ``multiprocessing`` workers hosting the virtual ranks."""
+    """Real ``multiprocessing`` workers running fanned-out tasks."""
 
     name = "process"
 
@@ -163,8 +137,6 @@ class ProcessBackend(ExecutionBackend):
         self.timeout = float(timeout)
         self._ctx = multiprocessing.get_context("spawn")
         self._lock = threading.RLock()
-        self._tickets: Dict[str, Tuple[_shm.ShmArena, object]] = {}
-        self._ticket_seq = 0
         self._closed = False
         self._procs = []
         self._conns = []
@@ -190,7 +162,8 @@ class ProcessBackend(ExecutionBackend):
         return self._closed
 
     def owned_ranks(self, worker: int, nprocs: int) -> List[int]:
-        """The virtual ranks hosted by ``worker`` on an ``nprocs`` machine."""
+        """The virtual ranks whose tasks ``worker`` runs on an ``nprocs``
+        machine."""
         return list(range(worker, nprocs, self.workers))
 
     def worker_of(self, rank: int) -> int:
@@ -269,113 +242,6 @@ class ProcessBackend(ExecutionBackend):
             f"({detail}); the exchange cannot complete"
         )
 
-    # -- shared-memory shipping ------------------------------------------------------
-
-    def _ship(
-        self,
-        msgs: Sequence[Tuple[int, int, object]],
-        nprocs: int,
-        op: str,
-    ) -> List[object]:
-        """Move payloads ``(src, dst, payload)``; returns received payloads
-        in input order.  Self-messages are local deliveries (the original
-        object, like MPI's self-send); inter-rank payloads come back as
-        fresh arrays decoded from the receive arena."""
-        self._check_open()
-        inter = [i for i, (s, d, _p) in enumerate(msgs) if s != d]
-        results: List[object] = [p for _s, _d, p in msgs]
-        if not inter:
-            return results
-        specs, total, flat = _shm.encode_payloads([msgs[i][2] for i in inter])
-        with self._lock:
-            send_arena = _shm.ShmArena(total)
-            recv_arena = _shm.ShmArena(total)
-            try:
-                _shm.write_columns(send_arena.buf, specs, flat)
-                # one contiguous copy job per message (columns are laid out
-                # consecutively; receive offsets mirror send offsets)
-                jobs: Dict[int, List[Tuple[int, int]]] = {}
-                moved = 0
-                for spec, i in zip(specs, inter):
-                    dst = msgs[i][1]
-                    if spec.columns:
-                        first = spec.columns[0].offset
-                        last = spec.columns[-1]
-                        span = last.offset + last.nbytes - first
-                        if span:
-                            jobs.setdefault(self.worker_of(dst), []).append(
-                                (first, span)
-                            )
-                            moved += span
-                involved = sorted(jobs)
-                for w in involved:
-                    self._send(
-                        w, ("copy", send_arena.name, recv_arena.name, jobs[w]),
-                        op, nprocs,
-                    )
-                for w in involved:
-                    self._collect(w, op, nprocs)
-                buf = recv_arena.buf
-                for spec, i in zip(specs, inter):
-                    results[i] = _shm.decode_payload(buf, spec)
-                del buf
-            finally:
-                send_arena.release()
-                recv_arena.release()
-        self.counters["backend.messages"] += len(inter)
-        self.counters["backend.shm_bytes"] += moved
-        return results
-
-    # -- transport API ----------------------------------------------------------------
-
-    def deliver(self, sends: Sequence[Dict[int, object]], nprocs: int):
-        msgs: List[Tuple[int, int, object]] = []
-        for src, targets in enumerate(sends):
-            for dst, payload in targets.items():
-                if not 0 <= dst < nprocs:
-                    raise ValueError(f"rank {src} sends to invalid rank {dst}")
-                msgs.append((src, dst, payload))
-        shipped = self._ship(msgs, nprocs, "alltoallv delivery")
-        recv: List[List[Tuple[int, object]]] = [[] for _ in range(nprocs)]
-        for (src, dst, _payload), received in zip(msgs, shipped):
-            recv[dst].append((src, received))
-        for lst in recv:
-            lst.sort(key=lambda item: item[0])
-        self.counters["backend.exchanges"] += 1
-        return recv
-
-    def route(self, transfers: Sequence[Tuple[int, int, object]], nprocs: int) -> List[object]:
-        return self._ship(list(transfers), nprocs, "p2p round")
-
-    # -- SPMD tickets ----------------------------------------------------------------
-
-    def post_ticket(self, payload):
-        self._check_open()
-        specs, total, flat = _shm.encode_payloads([payload], allow_pickle=True)
-        arena = _shm.ShmArena(total)
-        _shm.write_columns(arena.buf, specs, flat)
-        with self._lock:
-            self._ticket_seq += 1
-            key = f"{arena.name}#{self._ticket_seq}"
-            self._tickets[key] = (arena, specs[0])
-        self.counters["backend.tickets"] += 1
-        self.counters["backend.shm_bytes"] += specs[0].nbytes
-        return key
-
-    def claim_ticket(self, ticket):
-        with self._lock:
-            arena, spec = self._tickets.pop(ticket)
-        try:
-            return _shm.decode_payload(arena.buf, spec)
-        finally:
-            arena.release()
-
-    def discard_ticket(self, ticket) -> None:
-        with self._lock:
-            entry = self._tickets.pop(ticket, None)
-        if entry is not None:
-            entry[0].release()
-
     # -- host-side execution -----------------------------------------------------------
 
     def _fan_out(
@@ -387,6 +253,7 @@ class ProcessBackend(ExecutionBackend):
         shared,
         slot_to_worker,
         op: str,
+        nprocs: Optional[int] = None,
     ) -> List[object]:
         self._check_open()
         import_task(fn_path)  # fail fast in the coordinator on bad paths
@@ -398,10 +265,11 @@ class ProcessBackend(ExecutionBackend):
             involved = sorted(per_worker)
             for w in involved:
                 self._send(
-                    w, ("call", fn_path, with_shared, shared, per_worker[w]), op
+                    w, ("call", fn_path, with_shared, shared, per_worker[w]), op,
+                    nprocs,
                 )
             for w in involved:
-                (pairs,) = self._collect(w, op)
+                (pairs,) = self._collect(w, op, nprocs)
                 for slot, value in pairs:
                     results[slot] = value
         self.counters["backend.tasks"] += len(items)
@@ -415,6 +283,7 @@ class ProcessBackend(ExecutionBackend):
             shared=shared,
             slot_to_worker=self.worker_of,
             op=f"rank_map({fn_path})",
+            nprocs=len(per_rank_args),
         )
 
     def map_tasks(self, fn_path: str, items: Sequence[tuple]) -> List[object]:
@@ -467,11 +336,6 @@ class ProcessBackend(ExecutionBackend):
                 conn.close()
             except OSError:  # pragma: no cover
                 pass
-        with self._lock:
-            tickets = list(self._tickets.values())
-            self._tickets.clear()
-        for arena, _spec in tickets:
-            arena.release()
 
     def __repr__(self) -> str:
         state = "closed" if self._closed else "live"

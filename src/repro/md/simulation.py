@@ -104,7 +104,7 @@ class SimulationConfig:
     #: target directory for auto-checkpoints (files named
     #: ``step-NNNNNN.ckpt.ndjson``); required when ``checkpoint_every > 0``
     checkpoint_dir: Optional[str] = None
-    #: execution backend hosting the payload data plane: ``None`` (default)
+    #: execution backend for host-side task fan-out: ``None`` (default)
     #: leaves the machine's current attachment untouched, ``"inprocess"`` /
     #: ``"process"`` / ``"process:N"`` resolve via
     #: :func:`repro.backend.resolve_backend`, or pass a live

@@ -1,10 +1,9 @@
 """Span-based structured tracing over the simulated machine.
 
 Every cost the :class:`~repro.simmpi.machine.Machine` charges — clock
-advances, collectives, point-to-point rounds, SPMD sends/receives — emits a
-:class:`Span` into a bounded per-rank ring buffer when an
-:class:`ObsRecorder` is attached (``machine.obs``, mirroring the
-``machine.auditor`` attachment pattern).  Higher layers add *section* spans
+advances, collectives, point-to-point rounds — emits a :class:`Span` into
+a bounded per-rank ring buffer when an :class:`ObsRecorder` is attached
+(``machine.obs``, mirroring the ``machine.auditor`` attachment pattern).  Higher layers add *section* spans
 (solver runs, simulation steps, plan compiles/executions) and *mark* spans
 (balance triggers), giving the flat charge stream a tree structure.
 
@@ -200,60 +199,6 @@ class ObsRecorder:
                             time=float(delta),
                         ),
                     )
-        m = self.metrics
-        if messages:
-            m.counter("comm.messages", phase=label).inc(messages)
-        if nbytes:
-            m.counter("comm.bytes", phase=label).inc(nbytes)
-            m.histogram("comm.payload_nbytes").observe(nbytes)
-
-    def on_rank_charge(
-        self,
-        phase: Optional[str],
-        op: str,
-        time: float,
-        rank: int,
-        rank_t_start: float,
-        rank_t_end: float,
-        t_end: float,
-        messages: int = 0,
-        nbytes: int = 0,
-    ) -> None:
-        """Record a charge originating on a single rank (SPMD send/recv):
-        the machine-wide ``charge`` span for trace parity plus the one
-        rank-local span."""
-        label = phase if phase is not None else "other"
-        self._append(
-            MACHINE_RANK,
-            Span(
-                id=next(self._ids),
-                parent=self._parent(),
-                rank=MACHINE_RANK,
-                phase=label,
-                op=op,
-                kind="charge",
-                t_start=t_end - time,
-                t_end=t_end,
-                time=time,
-                messages=messages,
-                nbytes=nbytes,
-            ),
-        )
-        if self.per_rank and rank_t_end != rank_t_start:
-            self._append(
-                rank,
-                Span(
-                    id=next(self._ids),
-                    parent=self._parent(),
-                    rank=rank,
-                    phase=label,
-                    op=op,
-                    kind="rank",
-                    t_start=rank_t_start,
-                    t_end=rank_t_end,
-                    time=rank_t_end - rank_t_start,
-                ),
-            )
         m = self.metrics
         if messages:
             m.counter("comm.messages", phase=label).inc(messages)

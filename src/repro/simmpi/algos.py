@@ -32,11 +32,10 @@ scatterv     ``binomial-tree`` (root pushes subtree bundles down)
 ===========  ==========================================================
 
 The hard data-plane contract: **every algorithm returns bitwise-identical
-results to ``direct``** on both execution backends.  Staged engines ship
-the real arrays through the rounds but never reassociate reductions — the
-``allreduce`` result is always computed by the canonical rank-ordered
-reduction, the staged rounds only model (and really perform) the
-communication.  Only modeled clocks and per-phase message/byte totals may
+results to ``direct``**.  Staged engines ship the real arrays through the
+rounds but never reassociate reductions — the ``allreduce`` result is
+always computed by the canonical rank-ordered reduction, the staged rounds
+only model (and really perform) the communication.  Only modeled clocks and per-phase message/byte totals may
 differ between algorithms.
 
 ``auto`` resolves per call from the message volume, the rank count and the
@@ -636,7 +635,7 @@ def allreduce_staged(
     operation the ``direct`` path uses, because a staged tree reduction
     would reassociate floating-point sums and break the bitwise contract.
     The engine ships the real contribution/result arrays through the
-    rounds purely to model (and exercise, on any backend) the traffic.
+    rounds purely to model (and exercise) the traffic.
     """
     machine.synchronize()
     if algo == "binomial-tree":

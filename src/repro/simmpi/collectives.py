@@ -37,14 +37,12 @@ message/byte totals differ.
 
 Delivery aliasing contract
 --------------------------
-Payloads are delivered *by reference* under the default in-process data
-plane (the received array **is** the sender's array object) and as fresh
-decoded copies under a process backend — except self-sends, which return
-the original object on every backend (MPI self-send semantics).  Receivers
-therefore MUST NOT mutate received payloads in place; doing so corrupts
-sender state under the in-process engine only and is exactly the class of
-bug the cross-backend differential tests exist to catch.  Treat every
-received payload as read-only and copy before writing.
+Payloads are always delivered *by reference*: the received array **is**
+the sender's array object (for a self-send too, MPI's local delivery).
+Receivers therefore MUST NOT mutate received payloads in place; doing so
+silently corrupts sender state.  Treat every received payload as read-only
+and copy before writing — the read-only delivery sweep of the test suite
+hands out write-protected views to catch any call site that does not.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend.inprocess import deliver_inprocess
 from repro.simmpi.machine import Machine
 
 __all__ = [
@@ -85,13 +82,9 @@ def payload_nbytes(payload: Payload) -> int:
 
 
 def _validate_sends(nprocs: int, sends: Sequence[Dict[int, Payload]]) -> None:
-    """Reject invalid destination ranks *before* any auditing or charging.
-
-    Both execution backends must raise the same ``ValueError`` with no
-    auditor ledger entry and no clock movement for a rejected call —
-    historically only the in-process delivery loop checked targets, after
-    the auditor had observed the sends and costs were charged.
-    """
+    """Reject invalid destination ranks *before* any auditing or charging:
+    a rejected call raises ``ValueError`` with no auditor ledger entry and
+    no clock movement."""
     for src, targets in enumerate(sends):
         for dst in targets:
             if not 0 <= dst < nprocs:
@@ -192,17 +185,18 @@ def _charge_alltoall(
 def _deliver(
     machine: Machine, sends: Sequence[Dict[int, Payload]]
 ) -> List[List[Tuple[int, Payload]]]:
-    """Move payloads: ``recv[j]`` is a source-ordered list of ``(src, payload)``.
+    """Move payloads: ``recv[j]`` is a source-ordered list of ``(src, payload)``
+    referencing the senders' payload objects.
 
-    With an attached execution backend the payload bytes travel through it
-    (e.g. shared memory + worker processes); without one, the in-process
-    list shuffle runs inline.  Charging happened before this point either
-    way — delivery is pure data plane.  Aliasing contract: see the module
-    docstring; receivers must treat payloads as read-only.
+    Charging happened before this point — delivery is pure data plane.
+    Aliasing contract: see the module docstring; receivers must treat
+    payloads as read-only.
     """
-    if machine.backend is not None:
-        return machine.backend.deliver(sends, machine.nprocs)
-    return deliver_inprocess(sends, machine.nprocs)
+    recv: List[List[Tuple[int, Payload]]] = [[] for _ in range(machine.nprocs)]
+    for src, targets in enumerate(sends):
+        for dst, payload in targets.items():
+            recv[dst].append((src, payload))
+    return recv
 
 
 class FlatSends(NamedTuple):
@@ -301,11 +295,11 @@ def alltoallv(
     flat = sends if isinstance(sends, FlatSends) else None
     if flat is not None:
         flat.validate(P)
-        if machine.backend is None and _algo_for(machine, "alltoallv") is None:
+        if _algo_for(machine, "alltoallv") is None:
             _charge_alltoall(machine, flat.srcs, flat.dsts, flat.sizes(), phase, count_exchange)
             return flat
-        # staged engines and execution backends move dict tables: they get
-        # a zero-copy dict view of the flat table
+        # staged engines move dict tables: they get a zero-copy dict view
+        # of the flat table
         sends = flat.as_dict(P)
     if len(sends) != P:
         raise ValueError(f"sends has {len(sends)} entries, machine has {P} ranks")

@@ -84,10 +84,9 @@ class Machine:
         #: optional :class:`~repro.simmpi.chaos.Perturbation` consulted when
         #: charging costs (never when moving data) — see :meth:`perturb`
         self.perturbation = None
-        #: optional :class:`~repro.backend.ExecutionBackend` hosting the
-        #: payload data plane (attach via :meth:`attach_backend`); ``None``
-        #: keeps the historical in-process delivery byte-identical.  The
-        #: backend only moves payload bytes — modeled charging never
+        #: optional :class:`~repro.backend.ExecutionBackend` that per-rank
+        #: host work may fan out to (attach via :meth:`attach_backend`).
+        #: Payloads never travel through it and modeled charging never
         #: consults it, so traces and clocks are backend-independent.
         self.backend = None
         #: optional :class:`~repro.simmpi.algos.CollectiveAlgos` selecting
@@ -107,13 +106,12 @@ class Machine:
     # -- execution backend ----------------------------------------------------
 
     def attach_backend(self, backend) -> None:
-        """Route this machine's payload data plane through an
-        :class:`~repro.backend.ExecutionBackend`.
+        """Attach an :class:`~repro.backend.ExecutionBackend` for host-side
+        task fan-out (the P2NFFT near field reads ``machine.backend``).
 
-        Only delivery is rerouted; every charge is still computed centrally
-        by this machine, which is what keeps traces, ledgers and state
-        fingerprints bitwise-identical across backends.  Pass ``None`` to
-        restore the historical in-process delivery.
+        Payload delivery and every charge stay in this process, which is
+        what keeps traces, ledgers and state fingerprints bitwise-identical
+        across backends.  Pass ``None`` to detach.
         """
         if backend is not None and getattr(backend, "closed", False):
             raise RuntimeError(f"cannot attach closed backend {backend!r}")

@@ -20,13 +20,10 @@ __all__ = ["send_round", "exchange_pairs", "sendrecv"]
 
 
 def _route(machine: Machine, transfers: Sequence[Tuple[int, int, Payload]]):
-    """Ship a batch of ``(src, dst, payload)`` through the machine's
-    execution backend, or return the payloads as-is (the historical
-    in-process handoff).  Pure data plane: charging never happens here."""
-    backend = machine.backend
-    if backend is None:
-        return [payload for _src, _dst, payload in transfers]
-    return backend.route(transfers, machine.nprocs)
+    """The payloads of a batch of ``(src, dst, payload)`` as observed at the
+    destinations, in input order: the sender's objects (the in-process
+    handoff).  Pure data plane: charging never happens here."""
+    return [payload for _src, _dst, payload in transfers]
 
 
 def _check_transfers(machine: Machine, transfers: Sequence[Tuple[int, int, Payload]]) -> None:
@@ -201,7 +198,7 @@ def exchange_pairs(
     obs = machine.obs
     clocks_before = machine.clocks.copy() if obs is not None else None
     before = machine.clocks.max()
-    # both directions of every pair ship as one backend round
+    # both directions of every pair ship as one round
     delivered = _route(
         machine,
         [m for a, b, pa, pb in exchanges for m in ((a, b, pa), (b, a, pb))],

@@ -54,7 +54,6 @@ from repro.verify.dst import (
     DstReport,
     ledger_fingerprint,
     run_dst,
-    run_order_invariance_probe,
 )
 from repro.verify.invariants import (
     CheckResult,
@@ -99,6 +98,5 @@ __all__ = [
     "DstReport",
     "ledger_fingerprint",
     "run_dst",
-    "run_order_invariance_probe",
     "auto_verify",
 ]

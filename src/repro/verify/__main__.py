@@ -76,7 +76,7 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         metavar="ENGINE",
         help=(
-            "execution backend hosting the payload data plane "
+            "execution backend for host-side task fan-out "
             "('inprocess', 'process' or 'process:N'); results are "
             "backend-independent by contract"
         ),
@@ -90,7 +90,7 @@ def _dst_parser() -> argparse.ArgumentParser:
         description=(
             "deterministic simulation testing: run the full MD loop under N "
             "seeded machine perturbations (compute jitter, stragglers, "
-            "degraded links, extra latency, clock skew, mailbox reordering) "
+            "degraded links, extra latency, clock skew) "
             "and assert that physics state and communication ledgers are "
             "bitwise identical across every seed"
         ),

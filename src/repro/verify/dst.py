@@ -4,8 +4,7 @@ FoundationDB-style chaos testing for the simulated MPI layer: the same
 seeded MD trajectory is run once on an unperturbed machine (the *reference
 schedule*) and then under ``N`` seeded machine perturbations
 (:class:`~repro.simmpi.chaos.Perturbation` — compute jitter, stragglers,
-degraded links, extra latency, clock skew, mailbox reordering).  The core
-property under test:
+degraded links, extra latency, clock skew).  The core property under test:
 
     positions, forces, energies, resort outcomes and the communication
     auditor's ledgers are **bitwise identical** across every seed; only the
@@ -17,11 +16,6 @@ time back into physics (a real bug class: e.g. an adaptive decision reading
 ``machine.elapsed()``) breaks the fingerprint and is caught here.  The
 ``adaptive`` redistribution method intentionally couples cost to behavior
 and is therefore excluded from the sweep.
-
-Alongside the MD sweep, an SPMD *order-invariance probe* runs a random
-sparse-traffic program (wildcard receives, written order-invariantly)
-under every seed's mailbox scheduler, asserting identical results and that
-deadlock detection never fires.
 
 Every failure is reported with a one-line repro command, e.g.::
 
@@ -39,14 +33,11 @@ import hashlib
 import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.md.distributions import clustered_system
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
 from repro.simmpi.chaos import Perturbation
 from repro.simmpi.machine import Machine
-from repro.simmpi.spmd import SPMDDeadlock, run_spmd
 from repro.verify.audit import enable_auditing
 from repro.verify.invariants import InvariantChecker, state_fingerprint
 
@@ -59,7 +50,6 @@ __all__ = [
     "DstReport",
     "ledger_fingerprint",
     "run_dst",
-    "run_order_invariance_probe",
     "run_resume_sweep",
 ]
 
@@ -81,8 +71,6 @@ DST_DISTRIBUTIONS = ("homogeneous", "clustered")
 #: default sweep stays on the homogeneous workload (cost); pass
 #: ``--distributions clustered`` to exercise the balancing path
 DEFAULT_DISTRIBUTIONS = ("homogeneous",)
-
-_PROBE_SALT = 0x0B5E_12E
 
 
 def ledger_fingerprint(auditor) -> str:
@@ -113,7 +101,7 @@ def ledger_fingerprint(auditor) -> str:
 
 @dataclasses.dataclass
 class DstFailure:
-    """One divergence, invariant violation or deadlock under one seed."""
+    """One divergence or invariant violation under one seed."""
 
     solver: str
     method: str
@@ -129,23 +117,11 @@ class DstFailure:
     algos: Optional[str] = None
 
     def repro_command(self, *, nprocs: int, steps: int, particles: int) -> str:
-        """One-line command reproducing exactly this failing cell.
-
-        Probe failures carry synthetic ``spmd-probe``/``round-N`` labels that
-        are not a real (solver, method) cell; the probe runs in every sweep,
-        so the repro pins the seed and minimizes the trajectory work around
-        it instead of passing the labels through.
-        """
+        """One-line command reproducing exactly this failing cell."""
         if self.resume_from is not None:
             return (
                 f"python -m repro.verify dst --resume-from {self.resume_from} "
                 f"--steps {steps} --seed-list {self.seed}"
-            )
-        if self.solver == "spmd-probe":
-            return (
-                f"python -m repro.verify dst --solvers direct --methods A "
-                f"--steps 1 --particles {particles} --nprocs {nprocs} "
-                f"--seed-list {self.seed}"
             )
         kill = f" --kill-at {self.kill_at}" if self.kill_at is not None else ""
         algos = f" --algos {self.algos}" if self.algos is not None else ""
@@ -169,7 +145,6 @@ class DstReport:
     particles: int
     seeds: List[int]
     trajectories: int
-    probes: int
     failures: List[DstFailure]
     distributions: Tuple[str, ...] = DEFAULT_DISTRIBUTIONS
     #: collective-algorithm specs swept (``None`` entries mean direct)
@@ -185,8 +160,8 @@ class DstReport:
         if any(spec is not None for spec in self.algos):
             algos = f" algos={[spec or 'direct' for spec in self.algos]}"
         return (
-            f"[{status}] dst: {self.trajectories} trajectories + "
-            f"{self.probes} spmd probes, solvers={list(self.solvers)} "
+            f"[{status}] dst: {self.trajectories} trajectories, "
+            f"solvers={list(self.solvers)} "
             f"methods={list(self.methods)} "
             f"distributions={list(self.distributions)}{algos} "
             f"seeds={len(self.seeds)} "
@@ -368,95 +343,6 @@ def _run_cell(
     return _Reference(checkpoints=checkpoints, ledger=ledger)
 
 
-# -- SPMD order-invariance probe ---------------------------------------------
-
-
-def _probe_program(ctx, sends, expected):
-    """Random sparse traffic consumed through wildcard receives.
-
-    Written order-invariantly: the received multiset is sorted before use,
-    so any legal delivery order must yield the same return value.
-    """
-    for dst, value in sends:
-        ctx.send(dst, float(value), tag=1)
-    received = [float(ctx.recv()) for _ in range(expected)]
-    received.sort()
-    total = ctx.allreduce(sum(received))
-    return received, total
-
-
-def _probe_traffic(nprocs: int, rng: np.random.Generator):
-    """A random sparse traffic pattern plus per-rank receive counts."""
-    sends: List[List[Tuple[int, float]]] = [[] for _ in range(nprocs)]
-    expected = [0] * nprocs
-    n_messages = int(rng.integers(nprocs, 4 * nprocs + 1))
-    for _ in range(n_messages):
-        src = int(rng.integers(nprocs))
-        dst = int(rng.integers(nprocs))
-        value = float(np.round(rng.uniform(0.0, 100.0), 6))
-        sends[src].append((dst, value))
-        expected[dst] += 1
-    return sends, expected
-
-
-def run_order_invariance_probe(
-    nprocs: int,
-    seeds: Sequence[int],
-    *,
-    rounds: int = 3,
-    system_seed: int = 0,
-) -> List[DstFailure]:
-    """Run the wildcard-receive probe under every seed's scheduler.
-
-    The traffic pattern is fixed per round (drawn from ``system_seed``, not
-    the perturbation seed); only the delivery/wake schedule varies.  Results
-    must match the unperturbed run exactly and deadlock detection must
-    never fire.
-    """
-    failures: List[DstFailure] = []
-    for rnd in range(rounds):
-        rng = np.random.default_rng([_PROBE_SALT, system_seed, rnd])
-        sends, expected = _probe_traffic(nprocs, rng)
-
-        def run_once(perturbation: Optional[Perturbation]):
-            machine = (
-                Machine(nprocs, perturbation=perturbation)
-                if perturbation is not None
-                else Machine(nprocs)
-            )
-            return run_spmd(machine, _probe_program, sends, expected)
-
-        reference = run_once(None)
-        for seed in seeds:
-            if seed == 0:
-                continue
-            try:
-                result = run_once(Perturbation.sample(seed))
-            except SPMDDeadlock as exc:
-                failures.append(
-                    DstFailure(
-                        solver="spmd-probe",
-                        method=f"round-{rnd}",
-                        seed=seed,
-                        detail=f"deadlock detector fired: {exc}",
-                    )
-                )
-                continue
-            if result != reference:
-                failures.append(
-                    DstFailure(
-                        solver="spmd-probe",
-                        method=f"round-{rnd}",
-                        seed=seed,
-                        detail=(
-                            "wildcard-receive results diverged from the "
-                            "reference schedule"
-                        ),
-                    )
-                )
-    return failures
-
-
 # -- the sweep ----------------------------------------------------------------
 
 
@@ -470,7 +356,6 @@ def run_dst(
     n_particles: int = 24,
     seed_list: Optional[Sequence[int]] = None,
     system_seed: int = 0,
-    probe_rounds: int = 3,
     distributions: Sequence[str] = DEFAULT_DISTRIBUTIONS,
     obs_export_dir: Optional[str] = None,
     kill_at: Optional[int] = None,
@@ -496,11 +381,12 @@ def run_dst(
     (written under ``ckpt_dir`` when given, else in-memory); the resumed
     trajectory is still held to the uninterrupted reference's fingerprints
     and ledger — the chaos-resume property.
-    ``backend`` routes every trajectory's payload data plane through the
-    named execution engine (``"process"`` / ``"process:N"``); fingerprints
-    and ledgers are backend-independent, so the sweep's assertions are
-    unchanged — running it under the process engine differentially tests
-    the shared-memory transport against the chaos schedules.
+    ``backend`` attaches the named execution engine (``"process"`` /
+    ``"process:N"``) to every trajectory's machine; the engine only fans
+    out host work (the P2NFFT near field), so fingerprints and ledgers are
+    backend-independent and the sweep's assertions are unchanged — running
+    it under the process engine differentially tests the worker fan-out
+    against the chaos schedules.
     ``algos`` extends the sweep along the collective-algorithm axis: each
     entry is a :func:`repro.simmpi.algos.parse_algos` spec string (``None``
     meaning the direct default) and gets its own reference schedule —
@@ -576,14 +462,6 @@ def run_dst(
                                 backend=backend,
                                 algos=spec,
                             )
-                        except SPMDDeadlock as exc:
-                            failures.append(
-                                DstFailure(
-                                    solver, method, seed, f"deadlock: {exc}",
-                                    distribution=distribution, kill_at=kill_at,
-                                    algos=spec,
-                                )
-                            )
                         except AssertionError as exc:
                             failures.append(
                                 DstFailure(
@@ -605,12 +483,6 @@ def run_dst(
                         f"{'FAILED' if failed_cell else 'ok'}"
                     )
 
-    probe_failures = run_order_invariance_probe(
-        nprocs, chosen, rounds=probe_rounds, system_seed=system_seed
-    )
-    failures.extend(probe_failures)
-    probes = probe_rounds * (1 + sum(1 for s in chosen if s != 0))
-
     return DstReport(
         solvers=tuple(solvers),
         methods=tuple(methods),
@@ -619,7 +491,6 @@ def run_dst(
         particles=n_particles,
         seeds=chosen,
         trajectories=trajectories,
-        probes=probes,
         failures=failures,
         distributions=tuple(distributions),
         algos=tuple(algo_specs),
@@ -700,13 +571,6 @@ def run_resume_sweep(
         perturbation = Perturbation.sample(seed) if seed != 0 else None
         try:
             run_once(perturbation, reference)
-        except SPMDDeadlock as exc:
-            failures.append(
-                DstFailure(
-                    solver, method, seed, f"deadlock: {exc}",
-                    distribution=distribution, resume_from=resume_from,
-                )
-            )
         except AssertionError as exc:
             failures.append(
                 DstFailure(
@@ -727,7 +591,6 @@ def run_resume_sweep(
         particles=ckpt.n_particles,
         seeds=chosen,
         trajectories=trajectories,
-        probes=0,
         failures=failures,
         distributions=(distribution,),
     )

@@ -1,14 +1,9 @@
 """Fixtures for the cross-backend differential suite.
 
-Two invariants every test in this directory runs under:
-
-* **no leaked shared memory** — ``assert_no_shm_leaks`` (autouse) fails any
-  test that leaves a ``SharedMemory`` segment created by this process
-  unreleased, including tests that kill workers mid-exchange;
-* **no hangs** — process-backend tests carry ``pytest.mark.timeout``
-  markers (honored when pytest-timeout is installed) *and* the hang-prone
-  ones run under :func:`run_with_watchdog`, which fails the test from a
-  watchdog thread even without the plugin.
+Process-backend tests must never hang: they carry ``pytest.mark.timeout``
+markers (honored when pytest-timeout is installed) *and* the hang-prone
+ones run under :func:`run_with_watchdog`, which fails the test from a
+watchdog thread even without the plugin.
 """
 
 from __future__ import annotations
@@ -17,17 +12,7 @@ import threading
 
 import pytest
 
-from repro.backend import shm
 from repro.backend.process import ProcessBackend
-
-
-@pytest.fixture(autouse=True)
-def assert_no_shm_leaks():
-    """Every test must release the shared-memory segments it creates."""
-    before = set(shm.live_segments())
-    yield
-    leaked = sorted(set(shm.live_segments()) - before)
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
 
 
 @pytest.fixture(scope="session")
@@ -42,9 +27,9 @@ def process_backend():
 @pytest.fixture
 def watchdog():
     """Hang-proofing helper: run a callable on a daemon thread and fail the
-    test if it doesn't finish (the ``tests/simmpi/test_spmd`` pattern — a
-    stuck exchange must become a test failure, never a stuck pytest).
-    Returns the callable's value, re-raises its exception.
+    test if it doesn't finish (a stuck fan-out must become a test failure,
+    never a stuck pytest).  Returns the callable's value, re-raises its
+    exception.
     """
 
     def run_with_watchdog(fn, timeout=90.0):

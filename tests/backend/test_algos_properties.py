@@ -1,13 +1,17 @@
 """Property-based differential tests of the collective-algorithm engines.
 
 For random sparse traffic patterns — empty ranks, self-sends-only ranks,
-zero-length columns included — every algorithm on every backend must
-deliver identical recv payloads, and for a fixed algorithm the auditor
-ledger fingerprint must be backend-independent.  Message counts are held
-to their closed forms wherever one exists.
+zero-length columns included — every algorithm, with and without
+read-only delivery, must deliver identical recv payloads, and for a fixed
+algorithm the auditor ledger fingerprint must not depend on the delivery
+mode.  Read-only delivery makes any engine that writes into a payload it
+received fail loudly.  Message counts are held to their closed forms
+wherever one exists.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -19,12 +23,18 @@ from repro.simmpi.collectives import allgatherv, allreduce, alltoallv
 from repro.verify.audit import enable_auditing
 from repro.verify.dst import ledger_fingerprint
 
+from .test_aliasing import read_only_delivery
+
 ALLTOALLV_ALGOS = ("direct", "pairwise", "bruck")
 SETTINGS = settings(
     max_examples=15,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def delivery(read_only):
+    return read_only_delivery() if read_only else contextlib.nullcontext()
 
 
 @st.composite
@@ -72,31 +82,28 @@ def recv_fingerprint(recv):
 
 @given(traffic())
 @SETTINGS
-def test_alltoallv_payloads_identical_across_algos_and_backends(
-    process_backend, case
-):
+def test_alltoallv_payloads_identical_across_algos_and_backends(case):
     P, sends = case
     results = {}
     ledgers = {}
     for algo in ALLTOALLV_ALGOS:
-        for backend in (None, process_backend):
+        for read_only in (False, True):
             machine = Machine(P, profile=JUROPA)
-            if backend is not None:
-                machine.attach_backend(backend)
             if algo != "direct":
                 machine.set_collective_algos(f"alltoallv={algo}")
             auditor = enable_auditing(machine)
-            results[(algo, backend is None)] = recv_fingerprint(
-                alltoallv(machine, sends, "sort")
-            )
+            with delivery(read_only):
+                results[(algo, read_only)] = recv_fingerprint(
+                    alltoallv(machine, sends, "sort")
+                )
             auditor.assert_quiescent()
-            ledgers[(algo, backend is None)] = ledger_fingerprint(auditor)
-    reference = results[("direct", True)]
+            ledgers[(algo, read_only)] = ledger_fingerprint(auditor)
+    reference = results[("direct", False)]
     assert all(fp == reference for fp in results.values())
-    # ledgers are backend-independent per algorithm (they legitimately
-    # differ *between* algorithms — that's the point of the engines)
+    # ledgers do not depend on the delivery mode (they legitimately differ
+    # *between* algorithms — that's the point of the engines)
     for algo in ALLTOALLV_ALGOS:
-        assert ledgers[(algo, True)] == ledgers[(algo, False)]
+        assert ledgers[(algo, False)] == ledgers[(algo, True)]
 
 
 @given(traffic())
@@ -138,18 +145,15 @@ def test_bruck_message_count_within_log_bound(case):
     st.sampled_from(["ring", "recursive-doubling"]),
 )
 @SETTINGS
-def test_allgatherv_payloads_identical_across_backends(
-    process_backend, P, seed, algo
-):
+def test_allgatherv_payloads_identical_across_backends(P, seed, algo):
     rng = np.random.default_rng(seed)
     arrays = [rng.standard_normal(int(rng.integers(0, 4))) for _ in range(P)]
     reference = allgatherv(Machine(P, profile=JUROPA), arrays, "gather")
-    for backend in (None, process_backend):
+    for read_only in (False, True):
         machine = Machine(P, profile=JUROPA)
-        if backend is not None:
-            machine.attach_backend(backend)
         machine.set_collective_algos(f"allgatherv={algo}")
-        got = allgatherv(machine, arrays, "gather")
+        with delivery(read_only):
+            got = allgatherv(machine, arrays, "gather")
         assert [a.tobytes() for a in got] == [a.tobytes() for a in reference]
     expected = (
         P * (P - 1) if algo == "ring" else P * int(np.ceil(np.log2(P)))
@@ -168,18 +172,15 @@ def test_allgatherv_payloads_identical_across_backends(
     st.sampled_from(["binomial-tree", "recursive-halving-doubling"]),
 )
 @SETTINGS
-def test_allreduce_results_identical_across_backends(
-    process_backend, P, seed, op, algo
-):
+def test_allreduce_results_identical_across_backends(P, seed, op, algo):
     rng = np.random.default_rng(seed)
     values = [rng.standard_normal(3) for _ in range(P)]
     reference = allreduce(Machine(P, profile=JUROPA), values, op=op, phase="tune")
-    for backend in (None, process_backend):
+    for read_only in (False, True):
         machine = Machine(P, profile=JUROPA)
-        if backend is not None:
-            machine.attach_backend(backend)
         machine.set_collective_algos(f"allreduce={algo}")
-        got = allreduce(machine, values, op=op, phase="tune")
+        with delivery(read_only):
+            got = allreduce(machine, values, op=op, phase="tune")
         assert np.asarray(got).tobytes() == np.asarray(reference).tobytes()
     machine = Machine(P, profile=JUROPA)
     machine.set_collective_algos(f"allreduce={algo}")
@@ -193,19 +194,18 @@ def test_allreduce_results_identical_across_backends(
 
 
 @pytest.mark.parametrize("algo", ["pairwise", "bruck"])
-def test_zero_length_columns_ship_losslessly(process_backend, algo):
+def test_zero_length_columns_ship_losslessly(algo):
     # all-empty payloads: zero bytes but real messages and real deliveries
     P = 4
     sends = [
         {j: np.empty(0) for j in range(P) if j != i} for i in range(P)
     ]
-    for backend in (None, process_backend):
+    for read_only in (False, True):
         machine = Machine(P, profile=JUROPA)
-        if backend is not None:
-            machine.attach_backend(backend)
         machine.set_collective_algos(f"alltoallv={algo}")
         auditor = enable_auditing(machine)
-        recv = alltoallv(machine, sends, "sort")
+        with delivery(read_only):
+            recv = alltoallv(machine, sends, "sort")
         assert [len(lst) for lst in recv] == [P - 1] * P
         assert auditor.algo_ledger["sort"].bytes == 0
         assert auditor.algo_ledger["sort"].messages > 0

@@ -1,37 +1,30 @@
 """Delivery aliasing contract (docs/backends.md).
 
-* in-process data plane: inter-rank payloads are delivered **by reference**
-  — the received array IS the sender's array object;
-* process data plane: inter-rank payloads arrive as fresh decoded copies;
-* self-sends return the original payload object on **every** backend (MPI
-  local-delivery semantics).
+Payloads are always delivered **by reference**: the received array IS the
+sender's array object, for self-sends (MPI local delivery) and inter-rank
+messages alike.
 
 The corollary every call site must honor: received payloads are read-only.
-Mutating one in place corrupts sender state under the in-process engine
-only — a silent cross-backend divergence.  ``ReadOnlyBackend`` turns such a
-mutation into a hard ``ValueError`` and a short simulation matrix sweeps
-the redistribution call sites under it, staged algorithm engines included.
+Mutating one in place silently corrupts sender state.
+:func:`read_only_delivery` hands out write-protected views of inter-rank
+payloads at the two delivery seams (``collectives._deliver`` and
+``p2p._route``), turning such a mutation into a hard ``ValueError``, and a
+short simulation matrix sweeps the redistribution call sites under it,
+staged algorithm engines included.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
-from repro.backend.inprocess import InProcessBackend
 from repro.md.simulation import Simulation, SimulationConfig
 from repro.md.systems import silica_melt_system
-from repro.simmpi import Machine
+from repro.simmpi import Machine, collectives, p2p
 from repro.simmpi.collectives import alltoallv
 from repro.simmpi.p2p import send_round
-
-
-def payload_arrays(payload):
-    if payload is None:
-        return []
-    if isinstance(payload, np.ndarray):
-        return [payload]
-    return list(payload)
 
 
 # ----------------------------------------------------------- the contract
@@ -68,90 +61,79 @@ class TestInProcessAliasing:
         assert recv[1][0][1] is block
 
 
-class TestProcessAliasing:
-    def test_inter_rank_payloads_are_fresh_copies(self, process_backend):
-        machine = Machine(3)
-        machine.attach_backend(process_backend)
-        block = np.arange(4.0)
-        recv = alltoallv(machine, [{1: block}, {}, {}], "sort")
-        ((_, delivered),) = recv[1]
-        assert delivered is not block
-        np.testing.assert_array_equal(delivered, block)
-        delivered += 100.0  # mutating a copy must not reach the sender
-        np.testing.assert_array_equal(block, np.arange(4.0))
-
-    def test_self_send_returns_original_object(self, process_backend):
-        machine = Machine(3)
-        machine.attach_backend(process_backend)
-        block = np.arange(4.0)
-        recv = alltoallv(machine, [{0: block}, {}, {}], "sort")
-        assert recv[0][0][1] is block
-
-    @pytest.mark.parametrize("algo", ["pairwise", "bruck"])
-    def test_staged_payloads_are_fresh_copies(self, process_backend, algo):
-        machine = Machine(4)
-        machine.attach_backend(process_backend)
-        machine.set_collective_algos(f"alltoallv={algo}")
-        blocks = [np.full(3, float(i)) for i in range(4)]
-        sends = [
-            {j: blocks[i] for j in range(4) if j != i} for i in range(4)
-        ]
-        recv = alltoallv(machine, sends, "sort")
-        for dst in range(4):
-            for src, payload in recv[dst]:
-                for arr in payload_arrays(payload):
-                    assert arr is not blocks[src]
-                    np.testing.assert_array_equal(arr, blocks[src])
-
-
 # --------------------------------------- mutation sweep over the call sites
 
 
-class ReadOnlyBackend(InProcessBackend):
-    """In-process delivery with inter-rank arrays delivered write-protected.
+def _protect(payload):
+    def view(arr):
+        out = arr.view()
+        out.flags.writeable = False
+        return out
 
-    Any call site that mutates a received payload in place — legal-looking
-    under reference delivery, silently divergent under a process backend —
-    raises ``ValueError: assignment destination is read-only`` instead.
-    Self-transfers keep the original writable object, matching the real
-    engines.
+    if payload is None:
+        return None
+    if isinstance(payload, np.ndarray):
+        return view(payload)
+    if isinstance(payload, tuple):
+        return tuple(view(a) for a in payload)
+    return [view(a) for a in payload]
+
+
+@contextlib.contextmanager
+def read_only_delivery():
+    """Deliver inter-rank payloads as write-protected views.
+
+    Any call site that mutates a received payload in place — which would
+    corrupt the sender's state under reference delivery — raises
+    ``ValueError: assignment destination is read-only`` instead.
+    Self-transfers keep the original writable object.  A flat
+    :class:`~repro.simmpi.collectives.FlatSends` exchange is not touched:
+    its receive buffer is the send buffer the exchange built, owned by the
+    receivers alone.
     """
+    deliver, route = collectives._deliver, p2p._route
 
-    name = "inprocess-readonly"
-
-    @staticmethod
-    def _protect(payload):
-        def view(arr):
-            out = arr.view()
-            out.flags.writeable = False
-            return out
-
-        if payload is None:
-            return None
-        if isinstance(payload, np.ndarray):
-            return view(payload)
-        if isinstance(payload, tuple):
-            return tuple(view(a) for a in payload)
-        return [view(a) for a in payload]
-
-    def deliver(self, sends, nprocs):
-        protected = [
-            {
-                dst: (p if dst == src else self._protect(p))
-                for dst, p in targets.items()
-            }
-            for src, targets in enumerate(sends)
-        ]
-        return super().deliver(protected, nprocs)
-
-    def route(self, transfers, nprocs):
-        return super().route(
+    def protected_deliver(machine, sends):
+        return deliver(
+            machine,
             [
-                (src, dst, p if dst == src else self._protect(p))
-                for src, dst, p in transfers
+                {dst: (p if dst == src else _protect(p)) for dst, p in targets.items()}
+                for src, targets in enumerate(sends)
             ],
-            nprocs,
         )
+
+    def protected_route(machine, transfers):
+        return route(
+            machine,
+            [(src, dst, p if dst == src else _protect(p)) for src, dst, p in transfers],
+        )
+
+    collectives._deliver, p2p._route = protected_deliver, protected_route
+    try:
+        yield
+    finally:
+        collectives._deliver, p2p._route = deliver, route
+
+
+@pytest.fixture
+def read_only():
+    with read_only_delivery():
+        yield
+
+
+def test_read_only_delivery_protects_inter_rank_payloads_only(read_only):
+    machine = Machine(3)
+    block, own = np.arange(4.0), np.arange(2.0)
+    recv = alltoallv(machine, [{1: block, 0: own}, {}, {}], "sort")
+    assert recv[0][0][1] is own
+    ((_, delivered),) = recv[1]
+    assert not delivered.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        delivered += 1.0
+    payload = (np.arange(3.0), np.arange(3))
+    ((_, routed),) = send_round(machine, [(0, 2, payload)], "sort")[2]
+    assert not any(col.flags.writeable for col in routed)
+    np.testing.assert_array_equal(block, np.arange(4.0))
 
 
 @pytest.mark.parametrize(
@@ -160,9 +142,8 @@ class ReadOnlyBackend(InProcessBackend):
 @pytest.mark.parametrize(
     "algos", [None, "bruck+binomial-tree+allgatherv=ring", "alltoallv=pairwise"]
 )
-def test_no_call_site_mutates_received_payloads(solver, method, algos):
+def test_no_call_site_mutates_received_payloads(read_only, solver, method, algos):
     machine = Machine(4)
-    machine.attach_backend(ReadOnlyBackend())
     system = silica_melt_system(24, seed=0)
     config = SimulationConfig(
         solver=solver, method=method, seed=0, collective_algos=algos
@@ -174,7 +155,7 @@ def test_no_call_site_mutates_received_payloads(solver, method, algos):
         sim.fcs.destroy()
 
 
-def test_fmm_merge_windows_do_not_mutate_received_payloads(monkeypatch):
+def test_fmm_merge_windows_do_not_mutate_received_payloads(read_only, monkeypatch):
     """The sweep above never moves merge-exchange windows (its runs stay
     ordered); a drifting grid does, so the in-place window merge of the
     flat sort buffer runs under read-only delivery too."""
@@ -186,7 +167,6 @@ def test_fmm_merge_windows_do_not_mutate_received_payloads(monkeypatch):
         merge_sort, "row_ranges", lambda *args: merges.append(1) or row_ranges(*args)
     )
     machine = Machine(4)
-    machine.attach_backend(ReadOnlyBackend())
     config = SimulationConfig(
         solver="fmm", method="B+move", seed=0, dynamics="brownian",
         distribution="grid", solver_kwargs={"compute": "skip"},

@@ -1,8 +1,9 @@
 """Cross-backend differential matrix: process == inprocess, bit for bit.
 
 The backend contract (:mod:`repro.backend`) is that an execution engine may
-only change *where payload bytes live in transit* — never what arrives, in
-what order the coordinator observes it, or what modeled time it costs.
+only change *where host tasks run* (the P2NFFT near field) — never what a
+task returns, in what order the coordinator observes it, or what modeled
+time it costs.
 These tests hold the ``process`` engine to that contract across the full
 solver × redistribution-method grid by comparing three independent
 bitwise observables against the in-process reference:
@@ -111,7 +112,7 @@ def test_inprocess_spec_matches_default():
 @pytest.mark.parametrize("method", ("A", "B+move"))
 def test_clustered_dynamic_balance_cell(method, process_backend):
     """Two-cluster system + dynamic load balancer: the weighted repartition
-    exchanges also ride the backend transport and must not perturb it."""
+    runs with an engine attached and must not be perturbed by it."""
     reference = run_cell("fmm", method, None, distribution="clustered", steps=3)
     candidate = run_cell(
         "fmm", method, process_backend, distribution="clustered", steps=3

@@ -10,10 +10,12 @@ self-sends, empty ranks, zero rows in total, 2-D and mixed-dtype columns,
 both ``comm`` modes — the flat path must match it in received bytes and
 row order, ``machine.elapsed()`` (as float hex), per-phase trace messages
 and bytes, and the auditor ledger fingerprint; also under the staged
-alltoallv engines, the process backend and read-only delivery.
+alltoallv engines and read-only delivery.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from repro.simmpi.collectives import alltoallv, neighborhood_alltoallv
 from repro.verify.audit import enable_auditing
 from repro.verify.dst import ledger_fingerprint
 
-from .test_aliasing import ReadOnlyBackend
+from .test_aliasing import read_only_delivery
 
 SETTINGS = settings(
     max_examples=60,
@@ -133,16 +135,15 @@ def observe(machine, auditor, out, phase="sort"):
     )
 
 
-def run_both(P, blocks, results, comm, *, algos=None, backend=None):
+def run_both(P, blocks, results, comm, *, algos=None, read_only=False):
     observed = []
     for impl in (per_message_redistribute, fine_grained_redistribute):
         machine = Machine(P, profile=JUROPA)
         if algos is not None:
             machine.set_collective_algos(algos)
-        if backend is not None:
-            machine.attach_backend(backend)
         auditor = enable_auditing(machine)
-        out = impl(machine, blocks, lambda r, b: results[r], "sort", comm=comm)
+        with read_only_delivery() if read_only else contextlib.nullcontext():
+            out = impl(machine, blocks, lambda r, b: results[r], "sort", comm=comm)
         auditor.assert_quiescent()
         observed.append(observe(machine, auditor, out))
     return observed
@@ -167,15 +168,7 @@ def test_flat_exchange_matches_oracle_under_staged_engines(algos, case):
 @given(case=cases())
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_flat_exchange_matches_oracle_under_read_only_delivery(case):
-    oracle, flat = run_both(*case, backend=ReadOnlyBackend())
-    assert flat == oracle
-
-
-@pytest.mark.timeout(300)
-@given(case=cases())
-@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_flat_exchange_matches_oracle_under_process_backend(process_backend, case):
-    oracle, flat = run_both(*case, backend=process_backend)
+    oracle, flat = run_both(*case, read_only=True)
     assert flat == oracle
 
 

@@ -14,12 +14,12 @@ kept here only as oracles:
 For random cases the flat paths must match them in output rows and order,
 ``machine.elapsed()`` (as float hex), per-phase trace messages and bytes and
 the auditor ledger fingerprint — on switch, fat-tree and torus topologies,
-with and without a chaos perturbation, and under the read-only and process
-delivery backends.
+with and without a chaos perturbation, and under read-only delivery.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -30,10 +30,10 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.core.fine_grained import fine_grained_redistribute
 from repro.core.particles import ColumnBlock
-from repro.simmpi import Machine
+from repro.simmpi import Machine, p2p
 from repro.simmpi.chaos import Perturbation
 from repro.simmpi.collectives import payload_nbytes
-from repro.simmpi.p2p import _route, exchange_pairs, send_round
+from repro.simmpi.p2p import exchange_pairs, send_round
 from repro.simmpi.topology import FatTreeTopology, SwitchTopology, TorusTopology
 from repro.solvers.fmm.solver import FMMSolver
 from repro.solvers.fmm.tree import FMMTree
@@ -43,7 +43,7 @@ from repro.verify.audit import enable_auditing
 from repro.verify.dst import ledger_fingerprint
 from repro.zorder.morton import morton_decode3, morton_encode3
 
-from .test_aliasing import ReadOnlyBackend
+from .test_aliasing import read_only_delivery
 
 SETTINGS = settings(
     max_examples=60,
@@ -64,7 +64,7 @@ def per_pair_exchange_pairs(machine, exchanges, phase=None):
     out = {}
     n_messages = 0
     total_bytes = 0
-    delivered = _route(
+    delivered = p2p._route(
         machine,
         [m for a, b, pa, pb in exchanges for m in ((a, b, pa), (b, a, pb))],
     )
@@ -234,7 +234,7 @@ def per_rank_halo_exchange(solver, blocks, ownership):
 TOPOLOGIES = ("switch", "fat-tree", "torus")
 
 
-def make_machine(P, topology, perturbed, backend=None):
+def make_machine(P, topology, perturbed):
     if topology == "switch":
         topo = SwitchTopology(P, node_size=2)
     elif topology == "fat-tree":
@@ -253,10 +253,7 @@ def make_machine(P, topology, perturbed, backend=None):
             clock_skew=1e-5,
             compute_jitter=0.2,
         )
-    machine = Machine(P, topology=topo, perturbation=perturbation)
-    if backend is not None:
-        machine.attach_backend(backend)
-    return machine
+    return Machine(P, topology=topo, perturbation=perturbation)
 
 
 def observe(machine, auditor, out, phases):
@@ -300,8 +297,8 @@ def pair_rounds(draw):
     return P, topology, perturbed, rounds
 
 
-def run_pairs(impl, P, topology, perturbed, rounds, backend=None):
-    machine = make_machine(P, topology, perturbed, backend)
+def run_pairs(impl, P, topology, perturbed, rounds, read_only=False):
+    machine = make_machine(P, topology, perturbed)
     auditor = enable_auditing(machine)
     received = []
     for i, pairs in enumerate(rounds):
@@ -309,7 +306,8 @@ def run_pairs(impl, P, topology, perturbed, rounds, backend=None):
             (a, b, np.full(na, a, dtype=np.uint8), (np.arange(nb, dtype=np.int16), np.zeros(1)))
             for a, b, na, nb in pairs
         ]
-        out = impl(machine, exchanges, f"r{i % 2}")
+        with read_only_delivery() if read_only else contextlib.nullcontext():
+            out = impl(machine, exchanges, f"r{i % 2}")
         received.append(
             [
                 (key, payload_nbytes(at_a), payload_nbytes(at_b))
@@ -329,16 +327,8 @@ def test_exchange_pairs_matches_per_pair_oracle(case):
 @given(case=pair_rounds())
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_exchange_pairs_matches_oracle_under_read_only_delivery(case):
-    flat = run_pairs(exchange_pairs, *case, backend=ReadOnlyBackend())
-    assert flat == run_pairs(per_pair_exchange_pairs, *case, backend=ReadOnlyBackend())
-
-
-@pytest.mark.timeout(300)
-@given(case=pair_rounds())
-@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_exchange_pairs_matches_oracle_under_process_backend(process_backend, case):
-    flat = run_pairs(exchange_pairs, *case, backend=process_backend)
-    assert flat == run_pairs(per_pair_exchange_pairs, *case)
+    flat = run_pairs(exchange_pairs, *case, read_only=True)
+    assert flat == run_pairs(per_pair_exchange_pairs, *case, read_only=True)
 
 
 BAD_ROUNDS = {
@@ -424,10 +414,11 @@ def sort_cases(draw):
     return P, topology, perturbed, blocks, presorted, draw(st.booleans())
 
 
-def run_sort(impl, P, topology, perturbed, blocks, presorted, verify, backend=None):
-    machine = make_machine(P, topology, perturbed, backend)
+def run_sort(impl, P, topology, perturbed, blocks, presorted, verify, read_only=False):
+    machine = make_machine(P, topology, perturbed)
     auditor = enable_auditing(machine)
-    out, ok = impl(machine, blocks, "key", "sort", presorted=presorted, verify=verify)
+    with read_only_delivery() if read_only else contextlib.nullcontext():
+        out, ok = impl(machine, blocks, "key", "sort", presorted=presorted, verify=verify)
     auditor.assert_quiescent()
     return observe(machine, auditor, (block_rows(out), ok), ["sort"])
 
@@ -453,16 +444,8 @@ def test_merge_exchange_sort_matches_per_window_oracle(case):
 @given(case=sort_cases())
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_merge_exchange_sort_matches_oracle_under_read_only_delivery(case):
-    oracle = run_sort(per_window_merge_exchange_sort, *case, backend=ReadOnlyBackend())
-    assert run_sort(merge_exchange_sort, *case, backend=ReadOnlyBackend()) == oracle
-
-
-@pytest.mark.timeout(300)
-@given(case=sort_cases())
-@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_merge_exchange_sort_matches_oracle_under_process_backend(process_backend, case):
-    oracle = run_sort(per_window_merge_exchange_sort, *case)
-    assert run_sort(merge_exchange_sort, *case, backend=process_backend) == oracle
+    oracle = run_sort(per_window_merge_exchange_sort, *case, read_only=True)
+    assert run_sort(merge_exchange_sort, *case, read_only=True) == oracle
 
 
 def test_sorted_blocks_are_views_of_one_fresh_buffer():

@@ -2,8 +2,8 @@
 
 The coordinator process accumulates module-level mutable state as it runs:
 the solver registry (``repro.core.handle``), the backend singleton table
-(``repro.backend.base``), the live-shm registry (``repro.backend.shm``),
-and whatever caches a prior in-process simulation warmed.  Workers are
+(``repro.backend.base``) and whatever caches a prior in-process simulation
+warmed.  Workers are
 started with the ``spawn`` method so none of that is inherited by fork —
 these tests pin the property from both sides:
 
@@ -36,10 +36,8 @@ def test_workers_are_spawned_children_not_forks(process_backend):
     for report in reports:
         assert report["is_child"] is True
         # the coordinator's registries must not have crossed over: the
-        # worker has no resolved backend singletons and no live arenas
-        # of its own at rest
+        # worker has no resolved backend singletons of its own at rest
         assert report["backend_singletons"] == 0
-        assert report["live_shm_segments"] == []
 
 
 @pytest.mark.timeout(120)

@@ -112,7 +112,7 @@ class TestDstExport:
 
         report = run_dst(
             ["direct"], ["B"], seeds=1, steps=1, nprocs=4, n_particles=16,
-            probe_rounds=1, obs_export_dir=str(tmp_path),
+            obs_export_dir=str(tmp_path),
         )
         assert report.ok
         ref = tmp_path / "direct-B-homogeneous-seed0.ndjson"

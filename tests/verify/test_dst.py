@@ -1,6 +1,5 @@
-"""DST runner: schedule-independence sweep, probes, failure reporting."""
+"""DST runner: schedule-independence sweep, failure reporting."""
 
-import numpy as np
 import pytest
 
 from repro.md.simulation import Simulation, SimulationConfig
@@ -16,7 +15,6 @@ from repro.verify.dst import (
     _run_cell,
     ledger_fingerprint,
     run_dst,
-    run_order_invariance_probe,
 )
 from repro.verify.invariants import state_fingerprint
 
@@ -30,12 +28,10 @@ class TestSweep:
             steps=2,
             nprocs=4,
             n_particles=16,
-            probe_rounds=1,
         )
         assert report.ok, report.failures
         # 2 cells x (1 reference + 2 seeds)
         assert report.trajectories == 6
-        assert report.probes == 3  # 1 round x (reference + 2 seeds)
         assert "ok" in report.summary()
 
     def test_explicit_seed_list_including_null(self):
@@ -46,7 +42,6 @@ class TestSweep:
             nprocs=4,
             n_particles=16,
             seed_list=[0, 5],
-            probe_rounds=1,
         )
         assert report.ok, report.failures
         assert report.seeds == [0, 5]
@@ -60,7 +55,6 @@ class TestSweep:
             steps=1,
             nprocs=4,
             n_particles=16,
-            probe_rounds=0,
             progress=lines.append,
         )
         assert any("direct/A" in line for line in lines)
@@ -221,18 +215,3 @@ class TestCli:
         assert code == 0
         assert "distributions=['clustered']" in out
 
-
-class TestOrderInvarianceProbe:
-    def test_probe_passes_for_sampled_seeds(self):
-        failures = run_order_invariance_probe(4, [1, 2, 3], rounds=2)
-        assert failures == []
-
-    def test_probe_flags_divergence_not_silence(self):
-        """The probe program really exercises wildcard receives: the traffic
-        pattern must contain at least one rank with several sources."""
-        from repro.verify.dst import _PROBE_SALT, _probe_traffic
-
-        rng = np.random.default_rng([_PROBE_SALT, 0, 0])
-        sends, expected = _probe_traffic(4, rng)
-        assert sum(expected) == sum(len(s) for s in sends)
-        assert max(expected) >= 1

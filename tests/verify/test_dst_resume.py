@@ -27,7 +27,6 @@ class TestKillResume:
             steps=3,
             nprocs=2,
             n_particles=12,
-            probe_rounds=0,
             kill_at=2,
         )
         assert report.ok, [f.detail for f in report.failures]
@@ -42,8 +41,7 @@ class TestKillResume:
                 steps=2,
                 nprocs=2,
                 n_particles=12,
-                probe_rounds=0,
-                kill_at=kill_at,
+                    kill_at=kill_at,
             )
             assert report.ok, [f.detail for f in report.failures]
 
@@ -55,7 +53,6 @@ class TestKillResume:
             steps=2,
             nprocs=2,
             n_particles=12,
-            probe_rounds=0,
             kill_at=1,
             ckpt_dir=str(tmp_path),
         )
@@ -66,7 +63,7 @@ class TestKillResume:
         with pytest.raises(ValueError, match="kill_at"):
             run_dst(
                 ["direct"], ["A"], seed_list=[1], steps=2, nprocs=2,
-                n_particles=12, probe_rounds=0, kill_at=5,
+                n_particles=12, kill_at=5,
             )
 
     def test_failure_repro_command_carries_kill_at(self):
